@@ -11,9 +11,6 @@ schema header and state the time convention: the tau column is the
 accumulated imaginary time, equal to the inverse temperature of the
 approximated thermal state.  Pipelines are deterministic; rerunning a
 command reproduces its CSV byte for byte apart from the wall-time column.
-
-The environment variable ``PAULIEVO_WORKERS`` is reserved for worker-count
-hints and is recorded in summaries; it never affects numerical results.
 """
 
 from __future__ import annotations
@@ -384,7 +381,6 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
         "n_steps_total": schedule.n_steps,
         "reference_energy": reference,
         "reference_source": ref_source,
-        "workers_env": os.environ.get("PAULIEVO_WORKERS", "unset"),
     }
     if len(trajectory):
         final = trajectory.final

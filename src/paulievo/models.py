@@ -105,13 +105,6 @@ def build_tfim(params: TfimParams) -> Hamiltonian:
     return Hamiltonian(n, terms)
 
 
-def hamiltonian_from_terms(n_qubits: int,
-                           terms: Iterable[tuple[float, Union[str, PauliString]]]
-                           ) -> Hamiltonian:
-    """Build a Hamiltonian from ``(coefficient, pauli text)`` pairs."""
-    return Hamiltonian(n_qubits, terms)
-
-
 def hamiltonian_from_file(path: str) -> Hamiltonian:
     """Read a plain-text term file: one ``coefficient pauli_string`` per
     line, ``#`` comments and blank lines ignored.  The width is taken from

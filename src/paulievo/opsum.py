@@ -7,15 +7,17 @@ order.  All trace conventions are normalized: ``tr(A) := Tr(A) / 2**n``, so
 ``overlap(A, B) = tr(A @ B)``.
 
 Coefficients are real except in the output of :func:`product`, which carries
-the complex phases of the underlying string products.  Insertion indices are
-drawn from a process-wide monotone counter; they record first-seen order and
-break ties in fixed-size truncation.  A term that is merged or truncated
-away and later re-created receives a fresh index.
+the complex phases of the underlying string products.  Insertion indices
+record first-seen order within one lineage of sums and break ties in
+fixed-size truncation.  A new sum numbers its terms from 0; a gate numbers
+the terms it spawns upward from one past the largest index in its input, so
+a term that is merged or truncated away and later re-created receives a
+fresh index above every surviving one.  Indices compare only within a
+lineage, never across independently built sums.
 """
 
 from __future__ import annotations
 
-import contextlib
 import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
@@ -25,9 +27,8 @@ import numpy as np
 from .pauli import (
     DimensionMismatchError,
     PauliString,
-    _ONE,
-    _Z_HALF,
     canonical_argsort,
+    find_rows,
     key_to_words,
     n_words,
     pauli_from_text,
@@ -37,31 +38,11 @@ from .pauli import (
     words_to_key,
 )
 
-# entries below this fraction of the largest |coefficient| are treated as
-# numerical zeros after a merge
+# default of ``drop_relative``: entries below this fraction of the largest
+# |coefficient| are treated as numerical zeros after a merge
 MERGE_DROP_RELATIVE = 1e-15
 
 DEFAULT_TRACE_EPS = 1e-300
-
-
-@contextlib.contextmanager
-def numerical_zero_window(relative: float):
-    """Temporarily override the relative magnitude below which merged
-    entries are dropped as numerical zeros (exact zeros always drop).
-
-    ``relative=0.0`` keeps every float residue; untruncated support-census
-    runs need this, since a handful of strings carry exact coefficients
-    smaller than 1e-15 of the leading one and would otherwise vanish from
-    the count.
-    """
-    global MERGE_DROP_RELATIVE
-    previous = MERGE_DROP_RELATIVE
-    MERGE_DROP_RELATIVE = relative
-    try:
-        yield
-    finally:
-        MERGE_DROP_RELATIVE = previous
-
 
 CHECKPOINT_FORMAT = "pauli-sum v1"
 
@@ -77,27 +58,6 @@ class TraceCollapseError(ArithmeticError):
         self.step_index = step_index
         self.gate_index = gate_index
         self.trajectory = trajectory
-
-
-class _InsertionClock:
-    """Process-wide monotone source of insertion indices."""
-
-    __slots__ = ("_next",)
-
-    def __init__(self):
-        self._next = 0
-
-    def take(self, count: int) -> np.ndarray:
-        start = self._next
-        self._next += count
-        return np.arange(start, start + count, dtype=np.int64)
-
-    def ensure_at_least(self, value: int) -> None:
-        if value > self._next:
-            self._next = value
-
-
-_CLOCK = _InsertionClock()
 
 
 @dataclass(frozen=True)
@@ -138,9 +98,14 @@ TruncationPolicy = Union[Threshold, FixedK, WeightCutoff,
                          Sequence["TruncationPolicy"], None]
 
 
-def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray):
+def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
+              drop_relative: float = MERGE_DROP_RELATIVE):
     """Merge duplicate rows: sort canonically, sum coefficients, keep the
-    smallest insertion index per string, and drop numerical zeros."""
+    smallest insertion index per string, and drop numerical zeros.
+
+    Exact zeros always drop, as do entries below ``drop_relative`` times the
+    largest magnitude; ``drop_relative=0.0`` keeps every float residue.
+    """
     if keys.shape[0] == 0:
         return keys, coeffs, indices
     order = canonical_argsort(keys)
@@ -155,7 +120,7 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray):
         indices = np.minimum.reduceat(indices, starts)
     absc = np.abs(coeffs)
     top = absc.max() if absc.size else 0.0
-    keep = absc >= MERGE_DROP_RELATIVE * top
+    keep = absc >= drop_relative * top
     keep &= absc > 0
     if not keep.all():
         keys = keys[keep]
@@ -197,7 +162,7 @@ class PauliSum:
             n_qubits,
             np.zeros((1, width), dtype=np.uint64),
             np.ones(1, dtype=np.float64),
-            _CLOCK.take(1),
+            np.zeros(1, dtype=np.int64),
         )
 
     @classmethod
@@ -229,7 +194,7 @@ class PauliSum:
             return cls(n_qubits)
         karr = np.stack(keys)
         carr = np.asarray(coeffs, dtype=np.float64)
-        iarr = _CLOCK.take(len(coeffs))
+        iarr = np.arange(len(coeffs), dtype=np.int64)
         return cls(n_qubits, *_coalesce(karr, carr, iarr))
 
     @classmethod
@@ -259,19 +224,9 @@ class PauliSum:
             raise DimensionMismatchError(
                 f"string width {p.n_qubits} != {self.n_qubits}"
             )
-        width = n_words(self.n_qubits)
-        row = key_to_words(p.key, width)
-        keys = self._keys
-        if width == 1:
-            pos = int(np.searchsorted(keys[:, 0], row[0]))
-        else:
-            pos = int(np.searchsorted(keys[:, 0], row[0], side="left"))
-            hi = int(np.searchsorted(keys[:, 0], row[0], side="right"))
-            while pos < hi and not (keys[pos] == row).all():
-                pos += 1
-        if pos < len(self) and (keys[pos] == row).all():
-            return pos
-        return -1
+        row = key_to_words(p.key, n_words(self.n_qubits))
+        pos, found = find_rows(self._keys, row[None, :])
+        return int(pos[0]) if found[0] else -1
 
     def coefficient(self, p: Union[PauliString, str]):
         """Coefficient of ``p`` (0 if absent)."""
@@ -343,26 +298,13 @@ def normalized_trace(a: PauliSum) -> float:
 
 
 def _intersect_indices(a: PauliSum, b: PauliSum):
-    """Positions of the common strings of two canonically sorted sums."""
-    ka, kb = a._keys, b._keys
-    if ka.shape[1] == 1:
-        pos = np.searchsorted(ka[:, 0], kb[:, 0])
-        pos_c = np.minimum(pos, max(len(a) - 1, 0))
-        hit = (len(a) > 0) & (ka[pos_c, 0] == kb[:, 0])
-        return pos_c[hit], np.flatnonzero(hit)
-    # general width: merge both key sets and detect adjacent equal rows
-    cat = np.concatenate([ka, kb])
-    owner = np.concatenate(
-        [np.zeros(len(a), dtype=np.int8), np.ones(len(b), dtype=np.int8)]
-    )
-    src = np.concatenate([np.arange(len(a)), np.arange(len(b))])
-    order = canonical_argsort(cat)
-    cat, owner, src = cat[order], owner[order], src[order]
-    dup = rows_equal_adjacent(cat)
-    # rows are unique within each operand, so a duplicate pairs a with b
-    ib = src[dup]
-    ia = src[np.flatnonzero(dup) - 1]
-    return ia, ib
+    """Positions of the common strings of two canonically sorted sums, in
+    canonical order; the smaller operand is looked up in the larger."""
+    if len(a) < len(b):
+        pos, found = find_rows(b._keys, a._keys)
+        return np.flatnonzero(found), pos[found]
+    pos, found = find_rows(a._keys, b._keys)
+    return pos[found], np.flatnonzero(found)
 
 
 def overlap(a: PauliSum, b: PauliSum):
@@ -404,10 +346,8 @@ def product(a: PauliSum, b: PauliSum, *, block_rows: int = 1 << 20) -> PauliSum:
             rows = big._keys[start:start + block_rows]
             # phase of multiply(a_term, b_term); the fixed operand sits on
             # whichever side of the product the smaller sum occupies
-            if left_small:
-                k4 = phase_exponent(lw, rows)
-            else:
-                k4 = _phase_exponent_right(rows, lw)
+            k4 = phase_exponent(lw, rows) if left_small else \
+                phase_exponent(rows, lw)
             coeffs = (
                 small._coeffs[i]
                 * big._coeffs[start:start + block_rows]
@@ -417,25 +357,9 @@ def product(a: PauliSum, b: PauliSum, *, block_rows: int = 1 << 20) -> PauliSum:
             acc_coeffs.append(coeffs)
     keys = np.concatenate(acc_keys)
     coeffs = np.concatenate(acc_coeffs).astype(np.complex128)
-    indices = _CLOCK.take(len(coeffs))
+    indices = np.arange(len(coeffs), dtype=np.int64)
     keys, coeffs, indices = _coalesce(keys, coeffs, indices)
     return PauliSum._from_raw(a.n_qubits, keys, coeffs, indices)
-
-
-def _phase_exponent_right(rows: np.ndarray, right_words: np.ndarray) -> np.ndarray:
-    """``k mod 4`` of ``multiply(row, right)`` for every packed row."""
-    r = rows ^ right_words[None, :]
-    c_rows = np.bitwise_count((rows >> _ONE) & rows & _Z_HALF).sum(
-        axis=1, dtype=np.int64
-    )
-    c_right = int(
-        np.bitwise_count((right_words >> _ONE) & right_words & _Z_HALF).sum()
-    )
-    c_r = np.bitwise_count((r >> _ONE) & r & _Z_HALF).sum(axis=1, dtype=np.int64)
-    cross = np.bitwise_count(
-        rows & (right_words[None, :] >> _ONE) & _Z_HALF
-    ).sum(axis=1, dtype=np.int64)
-    return ((c_rows + c_right + 2 * cross - c_r) & 3).astype(np.int8)
 
 
 def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
@@ -537,7 +461,8 @@ def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
 
 def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     """Inverse of :func:`save_pauli_sum`; returns the sum and extra header
-    fields.  Restores the insertion clock so later indices stay monotone."""
+    fields.  Insertion indices are restored as saved, so a run resumed from
+    the checkpoint continues its lineage exactly."""
     own = isinstance(src, str)
     f = open(src) if own else src
     try:
@@ -578,8 +503,6 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     finally:
         if own:
             f.close()
-    if n_terms:
-        _CLOCK.ensure_at_least(int(indices.max()) + 1)
     out = PauliSum._from_raw(n_qubits, keys, coeffs, indices)
     return out, header
 

@@ -262,11 +262,48 @@ def weight(p: PauliString) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _row_order_view(keys: np.ndarray) -> np.ndarray:
+    """1-D view of packed rows whose element order is the canonical order.
+
+    One-word rows are their ``uint64`` column; wider rows become big-endian
+    byte strings, which compare bytewise like the integers they encode.
+    """
+    if keys.shape[1] == 1:
+        return keys[:, 0]
+    big_endian = np.ascontiguousarray(keys, dtype=">u8")
+    return big_endian.view(f"S{8 * keys.shape[1]}")[:, 0]
+
+
 def canonical_argsort(keys: np.ndarray, kind: str = "stable") -> np.ndarray:
     """Stable argsort of packed rows in canonical (integer) order."""
     if keys.shape[1] == 1:
         return np.argsort(keys[:, 0], kind=kind)
+    # lexsort beats sorting the byte-string view here: wide keys end in zero
+    # bytes, which slow the string comparisons down
     return np.lexsort(tuple(keys[:, w] for w in reversed(range(keys.shape[1]))))
+
+
+def find_rows(sorted_keys: np.ndarray,
+              queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Locate query rows in canonically sorted, unique packed rows.
+
+    Returns ``(position, found)``: the insertion position of every query
+    and whether the row at that position equals it.
+    """
+    if queries.shape[0] == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
+    # only rows whose first word lies in the queries' range can match, so
+    # just that window is searched (and, for wide rows, converted)
+    first = sorted_keys[:, 0]
+    lo = int(np.searchsorted(first, queries[:, 0].min(), side="left"))
+    hi = int(np.searchsorted(first, queries[:, 0].max(), side="right"))
+    table = _row_order_view(sorted_keys[lo:hi])
+    wanted = _row_order_view(queries)
+    pos = np.searchsorted(table, wanted)
+    if hi == lo:
+        return pos + lo, np.zeros(wanted.shape[0], dtype=bool)
+    found = table[np.minimum(pos, hi - lo - 1)] == wanted
+    return pos + lo, found
 
 
 def rows_equal_adjacent(sorted_keys: np.ndarray) -> np.ndarray:
@@ -287,21 +324,24 @@ def anticommute_mask(keys: np.ndarray, gen_words: np.ndarray) -> np.ndarray:
     return ((a.sum(axis=1, dtype=np.int64) + b.sum(axis=1, dtype=np.int64)) & 1) == 1
 
 
-def phase_exponent(left_words: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """``k mod 4`` of ``multiply(left, row)`` for every packed row."""
-    l = left_words[None, :]
-    r = keys ^ l
-    c_l = int(
-        np.bitwise_count((left_words >> _ONE) & left_words & _Z_HALF).sum()
+def _y_count(keys: np.ndarray) -> np.ndarray:
+    """Number of Y factors of every packed row (summed over the last axis)."""
+    return np.bitwise_count((keys >> _ONE) & keys & _Z_HALF).sum(
+        axis=-1, dtype=np.int64
     )
-    c_k = np.bitwise_count((keys >> _ONE) & keys & _Z_HALF).sum(
-        axis=1, dtype=np.int64
+
+
+def phase_exponent(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``k mod 4`` of ``multiply(left, right)`` row by row.
+
+    Either operand may be a single packed row of shape ``(n_words,)``, which
+    broadcasts against the other's ``(m, n_words)`` rows.
+    """
+    cross = np.bitwise_count(left & (right >> _ONE) & _Z_HALF).sum(
+        axis=-1, dtype=np.int64
     )
-    c_r = np.bitwise_count((r >> _ONE) & r & _Z_HALF).sum(axis=1, dtype=np.int64)
-    cross = np.bitwise_count(l & (keys >> _ONE) & _Z_HALF).sum(
-        axis=1, dtype=np.int64
-    )
-    return ((c_l + c_k + 2 * cross - c_r) & 3).astype(np.int8)
+    k = _y_count(left) + _y_count(right) + 2 * cross - _y_count(left ^ right)
+    return (k & 3).astype(np.int8)
 
 
 def row_weights(keys: np.ndarray) -> np.ndarray:

@@ -35,11 +35,11 @@ import numpy as np
 
 from .models import Hamiltonian
 from .opsum import (
+    MERGE_DROP_RELATIVE,
     PauliSum,
     Threshold,
     TraceCollapseError,
     TruncationPolicy,
-    _CLOCK,
     _coalesce,
     normalize_by_trace,
     normalized_trace,
@@ -53,6 +53,7 @@ from .pauli import (
     PauliString,
     anticommute_mask,
     canonical_argsort,
+    find_rows,
     phase_exponent,
     rows_equal_adjacent,
 )
@@ -170,7 +171,8 @@ class Trajectory:
 
 def _apply_generator(state: PauliSum, gate: GateSpec, *,
                      branch_when_commuting: bool, stay: float,
-                     spawn: float) -> PauliSum:
+                     spawn: float,
+                     drop_relative: float = MERGE_DROP_RELATIVE) -> PauliSum:
     if gate.generator.n_qubits != state.n_qubits:
         raise DimensionMismatchError(
             f"gate width {gate.generator.n_qubits} != state width "
@@ -194,31 +196,37 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     k4 = phase_exponent(gwords, state._keys[active])  # multiply(Q, P)
     spawn_coeffs = state._coeffs[active] * (spawn * _SIGN_FROM_K4[k4])
     # canonical order inside the spawn block fixes the assignment order of
-    # fresh insertion indices, independent of any partitioning of the input
+    # fresh insertion indices, independent of any partitioning of the input;
+    # they start above every index in the state, so on a collision the
+    # existing term keeps its index
     order = canonical_argsort(spawn_keys)
     spawn_keys = spawn_keys[order]
     spawn_coeffs = spawn_coeffs[order]
-    spawn_indices = _CLOCK.take(n_active)
+    fresh = int(state._indices.max()) + 1
+    spawn_indices = np.arange(fresh, fresh + n_active, dtype=np.int64)
     keys = np.concatenate([state._keys, spawn_keys])
     coeffs = np.concatenate([coeffs, spawn_coeffs])
     indices = np.concatenate([state._indices, spawn_indices])
-    keys, coeffs, indices = _coalesce(keys, coeffs, indices)
+    keys, coeffs, indices = _coalesce(keys, coeffs, indices, drop_relative)
     return PauliSum._from_raw(state.n_qubits, keys, coeffs, indices)
 
 
-def apply_imaginary_gate(state: PauliSum, gate: GateSpec) -> PauliSum:
+def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,
+                         drop_relative: float = MERGE_DROP_RELATIVE
+                         ) -> PauliSum:
     """Conjugate every term by ``exp(-(tau_eff/2) Q)`` from both sides.
 
     Anticommuting terms are exact fixed points; commuting terms split into
     ``cosh(tau_eff) P - sinh(tau_eff) Q P``.  Output term count is at most
-    twice the input.
+    twice the input.  Merged entries below ``drop_relative`` times the
+    largest magnitude drop as numerical zeros (exact zeros always drop).
     """
     if gate.tau_eff is None:
         raise ValueError("gate carries no tau_eff")
     t = gate.tau_eff
     return _apply_generator(
         state, gate, branch_when_commuting=True,
-        stay=math.cosh(t), spawn=-math.sinh(t),
+        stay=math.cosh(t), spawn=-math.sinh(t), drop_relative=drop_relative,
     )
 
 
@@ -363,6 +371,7 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
              start_step: int = 0,
              step_callback: StepCallback | None = None,
              threshold_cadence: str = "step",
+             drop_relative: float = MERGE_DROP_RELATIVE,
              ) -> tuple[PauliSum, Trajectory]:
     """Imaginary-time propagation of the identity operator.
 
@@ -378,8 +387,10 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
 
     ``initial_state``/``start_step`` resume an interrupted run from a
     checkpoint; ``step_callback(step, state, record)`` runs after each step
-    and may return True to stop early.  Returns the final state and the
-    trajectory of the steps executed here.
+    and may return True to stop early.  ``drop_relative`` is passed to every
+    gate (see :func:`apply_imaginary_gate`); ``0.0`` keeps every float
+    residue, which untruncated support censuses need.  Returns the final
+    state and the trajectory of the steps executed here.
     """
     if len(hamiltonian) == 0:
         raise ValueError("empty Hamiltonian")
@@ -416,7 +427,8 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
 
     for step in range(start_step, schedule.n_steps):
         for gate_index, gate in enumerate(gates):
-            state = apply_imaginary_gate(state, gate)
+            state = apply_imaginary_gate(state, gate,
+                                         drop_relative=drop_relative)
             if not state.is_real:
                 raise AssertionError("propagated state went complex")
             try:
@@ -477,7 +489,7 @@ def reachable_support_size(hamiltonian: Hamiltonian,
         order = canonical_argsort(cand)
         cand = cand[order]
         cand = cand[~rows_equal_adjacent(cand)]
-        frontier = _rows_difference(cand, seen)
+        frontier = cand[~find_rows(seen, cand)[1]]
         if frontier.shape[0] == 0:
             break
         merged = np.concatenate([seen, frontier])
@@ -487,23 +499,3 @@ def reachable_support_size(hamiltonian: Hamiltonian,
                 f"reachable support exceeds max_size={max_size}"
             )
     return seen.shape[0]
-
-
-def _rows_difference(sorted_a: np.ndarray, sorted_b: np.ndarray) -> np.ndarray:
-    """Rows of ``sorted_a`` absent from ``sorted_b`` (both sorted, unique)."""
-    if sorted_b.shape[0] == 0:
-        return sorted_a
-    if sorted_a.shape[1] == 1:
-        pos = np.searchsorted(sorted_b[:, 0], sorted_a[:, 0])
-        pos_c = np.minimum(pos, sorted_b.shape[0] - 1)
-        present = sorted_b[pos_c, 0] == sorted_a[:, 0]
-        return sorted_a[~present]
-    cat = np.concatenate([sorted_b, sorted_a])
-    src_is_a = np.concatenate(
-        [np.zeros(sorted_b.shape[0], bool), np.ones(sorted_a.shape[0], bool)]
-    )
-    order = canonical_argsort(cat)
-    cat, src_is_a = cat[order], src_is_a[order]
-    dup = rows_equal_adjacent(cat)
-    keep = src_is_a & ~dup
-    return cat[keep]

@@ -212,8 +212,6 @@ def test_criterion_5_untruncated_support_n12():
     has sat at the target for a few steps; otherwise it runs the full
     tau = 20 protocol and reports whatever it reached.
     """
-    from paulievo.opsum import numerical_zero_window
-
     target = 2_704_156
     ham = build_tfim(TfimParams(N=12, J=1.0, h=0.5))
     counts = []
@@ -223,9 +221,8 @@ def test_criterion_5_untruncated_support_n12():
         return len(counts) >= 3 and \
             counts[-1] == counts[-2] == counts[-3] == target
 
-    with numerical_zero_window(0.0):
-        run_itpp(ham, ScheduleConfig(0.04, 20.0),
-                 step_callback=until_saturated)
+    run_itpp(ham, ScheduleConfig(0.04, 20.0), step_callback=until_saturated,
+             drop_relative=0.0)
     saturated = counts[-1]
     closure = reachable_support_size(ham)
     ok = saturated == target and max(counts) == saturated

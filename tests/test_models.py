@@ -5,11 +5,11 @@ import pytest
 
 from paulievo import (
     DimensionMismatchError,
+    Hamiltonian,
     PauliParseError,
     TfimParams,
     build_tfim,
     hamiltonian_from_file,
-    hamiltonian_from_terms,
 )
 from paulievo.oracle import hamiltonian_matrix
 
@@ -66,30 +66,30 @@ class TestBuildTfim:
 
 class TestHamiltonianFromTerms:
     def test_single_term(self):
-        ham = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        ham = Hamiltonian(1, [(-1.0, "Z")])
         assert len(ham) == 1
         assert ham.terms[0][0] == -1.0
 
     def test_duplicates_merge(self):
-        ham = hamiltonian_from_terms(2, [(1.0, "ZZ"), (1.0, "ZZ")])
+        ham = Hamiltonian(2, [(1.0, "ZZ"), (1.0, "ZZ")])
         assert len(ham) == 1
         assert ham.terms[0][0] == 2.0
 
     def test_width_error(self):
         with pytest.raises(DimensionMismatchError):
-            hamiltonian_from_terms(2, [(1.0, "ZZZ")])
+            Hamiltonian(2, [(1.0, "ZZZ")])
 
     def test_parse_error_propagates(self):
         with pytest.raises(PauliParseError):
-            hamiltonian_from_terms(2, [(1.0, "ZQ")])
+            Hamiltonian(2, [(1.0, "ZQ")])
 
     def test_identity_offset_and_gated_terms(self):
-        ham = hamiltonian_from_terms(2, [(0.25, "II"), (1.0, "ZZ")])
+        ham = Hamiltonian(2, [(0.25, "II"), (1.0, "ZZ")])
         assert ham.identity_coefficient == 0.25
         assert [(c, str(p)) for c, p in ham.gated_terms()] == [(1.0, "ZZ")]
 
     def test_to_sum(self):
-        ham = hamiltonian_from_terms(2, [(1.5, "ZZ"), (-0.5, "XI")])
+        ham = Hamiltonian(2, [(1.5, "ZZ"), (-0.5, "XI")])
         s = ham.to_sum()
         assert s.coefficient("ZZ") == 1.5
         assert s.coefficient("XI") == -0.5

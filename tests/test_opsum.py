@@ -9,16 +9,23 @@ from hypothesis import given, strategies as st
 from paulievo import (
     DimensionMismatchError,
     FixedK,
+    GateSpec,
     PauliSum,
+    ScheduleConfig,
+    TfimParams,
     Threshold,
     TraceCollapseError,
     WeightCutoff,
+    apply_imaginary_gate,
+    build_tfim,
     load_pauli_sum,
     normalize_by_trace,
     normalized_trace,
     overlap,
+    pauli_from_text,
     product,
     purity,
+    run_itpp,
     save_pauli_sum,
     truncate,
 )
@@ -291,10 +298,40 @@ class TestInsertionIndices:
         assert a.insertion_index("ZZ") < a.insertion_index("XX") \
             < a.insertion_index("YY")
 
-    def test_recreated_term_gets_fresh_index(self):
-        a = PauliSum.from_terms(1, [(1.0, "Z")])
-        b = PauliSum.from_terms(1, [(1.0, "Z")])
-        assert b.insertion_index("Z") > a.insertion_index("Z")
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_spawned_terms_index_above_state(self, n):
+        pad = "I" * (n - 3)
+
+        def gate(text):
+            return GateSpec(generator=pauli_from_text(text + pad), tau_eff=0.3)
+
+        def spawn_and_check(state, text):
+            out = apply_imaginary_gate(state, gate(text))
+            top = int(state._indices.max())
+            for s, _ in out.items():
+                if s in state:
+                    assert out.insertion_index(s) == state.insertion_index(s)
+                else:
+                    assert out.insertion_index(s) > top
+            return out
+
+        state = PauliSum.identity(n)
+        state = spawn_and_check(state, "ZII")  # spawns ZII
+        state = spawn_and_check(state, "IXI")  # spawns IXI, then ZXI last
+        newest = max(state.items(), key=lambda sc: state.insertion_index(sc[0]))
+        assert str(newest[0]) == "ZXI" + pad
+        # the weight cutoff drops the newest term; IXI re-creates it
+        state = truncate(state, WeightCutoff(1))
+        assert "ZXI" + pad not in state
+        state = spawn_and_check(state, "IXI")
+        assert "ZXI" + pad in state
+        # a checkpoint load keeps the numbering that later spawns start above
+        loaded, _ = load_pauli_sum(io.StringIO(dumps_pauli_sum(state)))
+        assert np.array_equal(loaded._indices, state._indices)
+        after = spawn_and_check(loaded, "IIZ")
+        assert np.array_equal(
+            after._indices, apply_imaginary_gate(state, gate("IIZ"))._indices
+        )
 
 
 class TestSerialization:
@@ -334,12 +371,26 @@ class TestSerialization:
         b, _ = load_pauli_sum(str(path))
         assert b == a
 
-    def test_clock_restored_after_load(self):
-        a = PauliSum.from_terms(1, [(1.0, "Z")])
-        buf = io.StringIO(dumps_pauli_sum(a))
-        b, _ = load_pauli_sum(buf)
-        c = PauliSum.from_terms(1, [(1.0, "X")])
-        assert c.insertion_index("X") > b.insertion_index("Z")
+    @pytest.mark.parametrize("n", [6, 40])
+    def test_resumed_fixed_k_run_matches_uninterrupted(self, n, tmp_path):
+        ham = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.1, 0.6)
+        full, _ = run_itpp(ham, sched, FixedK(24))
+        path = str(tmp_path / "state.psum")
+
+        def save_at_3(step, state, record):
+            if step == 3:
+                save_pauli_sum(state, path)
+                return True
+            return False
+
+        run_itpp(ham, sched, FixedK(24), step_callback=save_at_3)
+        loaded, _ = load_pauli_sum(path)
+        resumed, _ = run_itpp(ham, sched, FixedK(24), initial_state=loaded,
+                              start_step=3)
+        assert len(full) == 24
+        assert resumed == full
+        assert np.array_equal(resumed._indices, full._indices)
 
     def test_complex_rejected(self):
         x = PauliSum.from_terms(1, [(1.0, "X")])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paulievo import (
+    Hamiltonian,
     PauliSum,
     ScheduleConfig,
     SizeGuardError,
@@ -16,7 +17,6 @@ from paulievo import (
     dense_exact_ite,
     dense_trotter_ite,
     ground_energy,
-    hamiltonian_from_terms,
     pauli_from_text,
 )
 from paulievo.oracle import (
@@ -31,7 +31,7 @@ from helpers import random_pauli_text
 
 
 def minus_z():
-    return hamiltonian_from_terms(1, [(-1.0, "Z")])
+    return Hamiltonian(1, [(-1.0, "Z")])
 
 
 class TestDenseExactIte:

@@ -1,5 +1,7 @@
 """Pauli-string algebra against the dense matrix oracle."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +19,7 @@ from paulievo import (
 from paulievo.pauli import (
     anticommute_mask,
     canonical_argsort,
+    find_rows,
     key_to_words,
     n_words,
     pack_strings,
@@ -247,11 +250,14 @@ class TestVectorKernels:
         packed = pack_strings(strings, n)
         anti = anticommute_mask(packed, gen.words())
         k4 = phase_exponent(gen.words(), packed)
+        k4_right = phase_exponent(packed, gen.words())
         weights = row_weights(packed)
         for i, s in enumerate(strings):
             assert bool(anti[i]) == (not commutes(s, gen))
             phase, _ = multiply(gen, s)
             assert int(k4[i]) == phase.k
+            phase_right, _ = multiply(s, gen)
+            assert int(k4_right[i]) == phase_right.k
             assert int(weights[i]) == weight(s)
 
     def test_pack_round_trip(self):
@@ -261,3 +267,27 @@ class TestVectorKernels:
             row = pack_strings([s], n)[0]
             assert unpack_string(row, n) == s
             assert words_to_key(key_to_words(s.key, n_words(n))) == s.key
+
+
+class TestFindRows:
+    """The sorted-row lookup agrees with a Python set of scalar keys."""
+
+    @pytest.mark.parametrize("n", [12, 40])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 40))
+    def test_matches_set_membership(self, n, seed, size):
+        rng = np.random.default_rng(seed)
+        pool = [pauli_from_text(random_pauli_text(rng, n))
+                for _ in range(2 * size + 1)]
+        members = sorted({s.key for s in pool[:size]})
+        table = pack_strings([PauliString(n, k) for k in members], n)
+        # near misses differ from a member in the last qubit only, which at
+        # n=40 leaves the first word equal
+        flip = {"I": "Z", "Z": "X", "X": "Y", "Y": "I"}
+        near = [pauli_from_text(str(s)[:-1] + flip[str(s)[-1]])
+                for s in pool[:size]]
+        queries = pool + near
+        pos, found = find_rows(table, pack_strings(queries, n))
+        member_set = set(members)
+        for i, s in enumerate(queries):
+            assert bool(found[i]) == (s.key in member_set)
+            assert int(pos[i]) == bisect.bisect_left(members, s.key)

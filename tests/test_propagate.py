@@ -1,10 +1,13 @@
 """Propagation rules, Trotter sequencing, the ITPP driver, and estimators."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import paulievo
 from paulievo import (
     FixedK,
     GateSpec,
@@ -21,7 +24,6 @@ from paulievo import (
     dense_trotter_ite,
     expectation,
     expectation_squared_state,
-    hamiltonian_from_terms,
     pauli_from_text,
     product,
     reachable_support_size,
@@ -29,6 +31,7 @@ from paulievo import (
     run_itpp,
     trotter_sequence,
 )
+from paulievo.opsum import dumps_pauli_sum
 from paulievo.oracle import (
     imaginary_conjugation_matrix,
     pauli_sum_matrix,
@@ -171,7 +174,7 @@ class TestRealGate:
 
 class TestTrotterSequence:
     def test_single_term_repeats(self):
-        h = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        h = Hamiltonian(1, [(-1.0, "Z")])
         gates = trotter_sequence(h, ScheduleConfig(0.1, 0.3))
         assert len(gates) == 3
         assert all(g.generator.text() == "Z" for g in gates)
@@ -189,7 +192,7 @@ class TestTrotterSequence:
         assert gates[0].tau_eff == pytest.approx(-0.04, abs=0)
 
     def test_identity_terms_excluded(self):
-        h = hamiltonian_from_terms(2, [(2.0, "II"), (-1.0, "ZZ")])
+        h = Hamiltonian(2, [(2.0, "II"), (-1.0, "ZZ")])
         gates = trotter_sequence(h, ScheduleConfig(0.1, 0.1))
         assert [g.generator.text() for g in gates] == ["ZZ"]
 
@@ -218,13 +221,13 @@ class TestTrotterSequence:
 class TestRunItpp:
     def test_single_qubit_closed_form_each_step(self):
         # a one-term Hamiltonian has no Trotter error: E(tau) = -tanh(tau)
-        h = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        h = Hamiltonian(1, [(-1.0, "Z")])
         _, traj = run_itpp(h, ScheduleConfig(0.1, 1.0))
         for rec in traj:
             assert rec.energy == pytest.approx(-math.tanh(rec.tau), abs=1e-12)
 
     def test_single_qubit_long_run(self):
-        h = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        h = Hamiltonian(1, [(-1.0, "Z")])
         state, traj = run_itpp(h, ScheduleConfig(0.1, 5.0))
         assert traj.final.energy == pytest.approx(-1.0, abs=1e-3)
         assert state.coefficient("I") == 1.0
@@ -256,8 +259,8 @@ class TestRunItpp:
         assert rec.purity == 1.0
 
     def test_identity_offset_reported_not_gated(self):
-        base = hamiltonian_from_terms(1, [(-1.0, "Z")])
-        shifted = hamiltonian_from_terms(1, [(3.0, "I"), (-1.0, "Z")])
+        base = Hamiltonian(1, [(-1.0, "Z")])
+        shifted = Hamiltonian(1, [(3.0, "I"), (-1.0, "Z")])
         _, traj_base = run_itpp(base, ScheduleConfig(0.1, 0.5))
         _, traj_shift = run_itpp(shifted, ScheduleConfig(0.1, 0.5))
         for a, b in zip(traj_base, traj_shift):
@@ -271,7 +274,7 @@ class TestRunItpp:
         assert (np.diff(taus) > 0).all()
 
     def test_relative_error_column(self):
-        h = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        h = Hamiltonian(1, [(-1.0, "Z")])
         _, traj = run_itpp(h, ScheduleConfig(0.1, 0.3), reference_energy=-1.0)
         for rec in traj:
             assert rec.relative_error == pytest.approx(
@@ -279,7 +282,7 @@ class TestRunItpp:
             )
 
     def test_observable_columns(self):
-        h = hamiltonian_from_terms(1, [(-1.0, "Z")])
+        h = Hamiltonian(1, [(-1.0, "Z")])
         z = PauliSum.from_terms(1, [(1.0, "Z")])
         _, traj = run_itpp(h, ScheduleConfig(0.1, 0.2), observables=[z])
         for rec in traj:
@@ -326,6 +329,20 @@ class TestRunItpp:
         s2, t2 = run_itpp(h, sched, Threshold(2 ** -7))
         assert s1 == s2
         assert np.array_equal(t1.energies(), t2.energies())
+        # nothing carries over between runs in one process: the second run
+        # numbers its terms exactly as the first and writes the same file
+        assert np.array_equal(s1._indices, s2._indices)
+        assert dumps_pauli_sum(s1) == dumps_pauli_sum(s2)
+
+    def test_package_has_no_global_statement(self):
+        package = pathlib.Path(paulievo.__file__).parent
+        sources = sorted(package.glob("*.py"))
+        assert sources
+        for path in sources:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found = [node.lineno for node in ast.walk(tree)
+                     if isinstance(node, ast.Global)]
+            assert not found, f"{path.name}: global statement at {found}"
 
     def test_state_stays_real_and_normalized(self):
         h = build_tfim(TfimParams(N=3, J=1.0, h=0.5))
@@ -367,7 +384,7 @@ class TestRunItpp:
         # an 8-spin chain embedded in 40 qubits (two words per key) must
         # reproduce the 8-spin trajectory exactly
         small = build_tfim(TfimParams(N=8, J=1.0, h=0.5))
-        wide = hamiltonian_from_terms(
+        wide = Hamiltonian(
             40, [(c, str(p) + "I" * 32) for c, p in small.terms]
         )
         sched = ScheduleConfig(0.04, 1.0)
