@@ -35,6 +35,8 @@ from .pauli import (
     phase_exponent,
     row_weights,
     rows_equal_adjacent,
+    rows_out_of_order,
+    take_rows,
     words_to_key,
 )
 
@@ -261,6 +263,9 @@ class PauliSum:
         return float(np.abs(self._coeffs).max())
 
     def __eq__(self, other) -> bool:
+        """Equal strings and coefficients; insertion indices are not
+        compared, so checks that care about lineage (which decides FixedK
+        ties) must compare ``_indices`` as well."""
         if not isinstance(other, PauliSum):
             return NotImplemented
         return (
@@ -356,7 +361,9 @@ def product(a: PauliSum, b: PauliSum, *, block_rows: int = 1 << 20) -> PauliSum:
             acc_keys.append(rows ^ lw[None, :])
             acc_coeffs.append(coeffs)
     keys = np.concatenate(acc_keys)
-    coeffs = np.concatenate(acc_coeffs).astype(np.complex128)
+    # the phase table already makes every block complex128
+    coeffs = np.concatenate(acc_coeffs).astype(np.complex128, copy=False)
+    del acc_keys, acc_coeffs  # free the blocks before the coalesce copies
     indices = np.arange(len(coeffs), dtype=np.int64)
     keys, coeffs, indices = _coalesce(keys, coeffs, indices)
     return PauliSum._from_raw(a.n_qubits, keys, coeffs, indices)
@@ -378,7 +385,8 @@ def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
         if keep.all():
             return a
         return PauliSum._from_raw(
-            a.n_qubits, a._keys[keep], a._coeffs[keep], a._indices[keep]
+            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
+            a._indices[keep],
         )
     if isinstance(policy, WeightCutoff):
         if len(a) == 0:
@@ -387,7 +395,8 @@ def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
         if keep.all():
             return a
         return PauliSum._from_raw(
-            a.n_qubits, a._keys[keep], a._coeffs[keep], a._indices[keep]
+            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
+            a._indices[keep],
         )
     if isinstance(policy, FixedK):
         m = len(a)
@@ -404,7 +413,8 @@ def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
             order = np.argpartition(a._indices[tie_pos], need - 1)[:need]
             keep[tie_pos[order]] = True
         return PauliSum._from_raw(
-            a.n_qubits, a._keys[keep], a._coeffs[keep], a._indices[keep]
+            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
+            a._indices[keep],
         )
     raise TypeError(f"unknown truncation policy: {policy!r}")
 
@@ -462,7 +472,12 @@ def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
 def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     """Inverse of :func:`save_pauli_sum`; returns the sum and extra header
     fields.  Insertion indices are restored as saved, so a run resumed from
-    the checkpoint continues its lineage exactly."""
+    the checkpoint continues its lineage exactly.
+
+    Raises ``ValueError`` naming the first bad row when the rows are not
+    strictly increasing in canonical order (out of order or repeated) or
+    when non-blank content follows the ``n_terms`` declared rows.
+    """
     own = isinstance(src, str)
     f = open(src) if own else src
     try:
@@ -500,9 +515,23 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
             keys[i] = key_to_words(p.key, width)
             coeffs[i] = float(parts[2])
             indices[i] = int(parts[3])
+        if f.read().strip():
+            raise ValueError(
+                f"checkpoint row {n_terms}: content after the {n_terms} "
+                "rows the header declares"
+            )
     finally:
         if own:
             f.close()
+    # gates and lookups trust sorted, unique rows, so a file that breaks
+    # the order is rejected rather than loaded
+    unsorted = rows_out_of_order(keys)
+    if unsorted.size:
+        i = int(unsorted[0])
+        raise ValueError(
+            f"checkpoint row {i} is not above row {i - 1} in canonical "
+            "order; rows must be sorted and unique"
+        )
     out = PauliSum._from_raw(n_qubits, keys, coeffs, indices)
     return out, header
 

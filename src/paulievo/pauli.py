@@ -274,6 +274,21 @@ def _row_order_view(keys: np.ndarray) -> np.ndarray:
     return big_endian.view(f"S{8 * keys.shape[1]}")[:, 0]
 
 
+def row_view(keys: np.ndarray) -> np.ndarray:
+    """1-D view of packed rows with one opaque element per row.
+
+    Gathers and scatters of whole rows through this view copy one block per
+    row, several times faster than fancy indexing of the 2-D array.
+    """
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, 8 * keys.shape[1])))[:, 0]
+
+
+def take_rows(keys: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """``keys[where]`` for an integer or boolean selection of rows."""
+    return row_view(keys)[where].view(np.uint64).reshape(-1, keys.shape[1])
+
+
 def canonical_argsort(keys: np.ndarray, kind: str = "stable") -> np.ndarray:
     """Stable argsort of packed rows in canonical (integer) order."""
     if keys.shape[1] == 1:
@@ -316,19 +331,27 @@ def rows_equal_adjacent(sorted_keys: np.ndarray) -> np.ndarray:
     return eq
 
 
+def rows_out_of_order(keys: np.ndarray) -> np.ndarray:
+    """Positions ``i >= 1`` whose row is not strictly above row ``i - 1``
+    in canonical order, i.e. out of order or repeated."""
+    view = _row_order_view(keys)
+    return np.flatnonzero(view[1:] <= view[:-1]) + 1
+
+
 def anticommute_mask(keys: np.ndarray, gen_words: np.ndarray) -> np.ndarray:
     """True where a row anticommutes with the generator ``gen_words``."""
-    g = gen_words[None, :]
-    a = np.bitwise_count((keys >> _ONE) & g & _Z_HALF)
-    b = np.bitwise_count(keys & (g >> _ONE) & _Z_HALF)
-    return ((a.sum(axis=1, dtype=np.int64) + b.sum(axis=1, dtype=np.int64)) & 1) == 1
-
-
-def _y_count(keys: np.ndarray) -> np.ndarray:
-    """Number of Y factors of every packed row (summed over the last axis)."""
-    return np.bitwise_count((keys >> _ONE) & keys & _Z_HALF).sum(
-        axis=-1, dtype=np.int64
-    )
+    # |x_P & z_Q| + |z_P & x_Q| counts the set bits of P & Q', where Q' is
+    # the generator with the two bits of every pair swapped
+    swapped = (((gen_words >> _ONE) & _Z_HALF)
+               | ((gen_words & _Z_HALF) << _ONE))
+    if keys.shape[1] == 1:
+        # one-word rows: the uint64 column against a scalar
+        sym = keys[:, 0] & swapped[0]
+    else:
+        # the parity of a popcount summed over words is the parity of the
+        # popcount of their XOR
+        sym = np.bitwise_xor.reduce(keys & swapped, axis=1)
+    return (np.bitwise_count(sym) & 1).astype(bool)
 
 
 def phase_exponent(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -337,10 +360,23 @@ def phase_exponent(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     Either operand may be a single packed row of shape ``(n_words,)``, which
     broadcasts against the other's ``(m, n_words)`` rows.
     """
-    cross = np.bitwise_count(left & (right >> _ONE) & _Z_HALF).sum(
-        axis=-1, dtype=np.int64
-    )
-    k = _y_count(left) + _y_count(right) + 2 * cross - _y_count(left ^ right)
+    wide = left.shape[-1] > 1
+    if not wide:
+        # one-word rows: work on the uint64 column, with no sum over words
+        left, right = left[..., 0], right[..., 0]
+
+    def count(bits):
+        c = np.bitwise_count(bits)
+        return c.sum(axis=-1, dtype=np.int64) if wide else c
+
+    # x bits moved onto the z positions, so ``s & x_s`` marks the Y factors
+    x_left = (left >> _ONE) & _Z_HALF
+    x_right = (right >> _ONE) & _Z_HALF
+    prod = left ^ right
+    # -c(R) is taken as +3 c(R) (mod 4), so the one-word uint8 counts never
+    # go negative: the sum stays at most 32 + 32 + 64 + 96 < 256
+    k = (count(left & x_left) + count(right & x_right)
+         + 2 * count(left & x_right) + 3 * count(prod & (x_left ^ x_right)))
     return (k & 3).astype(np.int8)
 
 

@@ -40,7 +40,6 @@ from .opsum import (
     Threshold,
     TraceCollapseError,
     TruncationPolicy,
-    _coalesce,
     normalize_by_trace,
     normalized_trace,
     overlap,
@@ -55,7 +54,9 @@ from .pauli import (
     canonical_argsort,
     find_rows,
     phase_exponent,
+    row_view,
     rows_equal_adjacent,
+    take_rows,
 )
 
 # sign of i**k for k in {0,1,2,3}; both propagation rules produce real
@@ -173,6 +174,16 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
                      branch_when_commuting: bool, stay: float,
                      spawn: float,
                      drop_relative: float = MERGE_DROP_RELATIVE) -> PauliSum:
+    """Scale the active rows by ``stay`` and merge their spawn ``spawn * Q P``
+    into the state.
+
+    The state is sorted and unique, and XOR with ``Q`` is a bijection, so
+    the spawn block is unique too: after sorting that block alone, every
+    spawned key either hits exactly one state row, whose coefficient it is
+    added to (the existing row keeps its lower index), or is a new row
+    inserted at its sorted position.  Every merged coefficient is therefore
+    the same single float sum a full re-sort would form.
+    """
     if gate.generator.n_qubits != state.n_qubits:
         raise DimensionMismatchError(
             f"gate width {gate.generator.n_qubits} != state width "
@@ -181,34 +192,69 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     if len(state) == 0:
         return state
     gwords = gate.generator.words()
-    anti = anticommute_mask(state._keys, gwords)
+    keys = state._keys
+    anti = anticommute_mask(keys, gwords)
     active = ~anti if branch_when_commuting else anti
-    n_active = int(active.sum())
-    if n_active == 0:
+    act = np.flatnonzero(active)
+    if act.size == 0:
         return state
-    coeffs = state._coeffs.copy()
-    coeffs[active] *= stay
+    coeffs = state._coeffs * np.where(active, stay, 1.0)
     if spawn == 0.0:
         return PauliSum._from_raw(
-            state.n_qubits, state._keys, coeffs, state._indices
+            state.n_qubits, keys, coeffs, state._indices
         )
-    spawn_keys = state._keys[active] ^ gwords[None, :]
-    k4 = phase_exponent(gwords, state._keys[active])  # multiply(Q, P)
-    spawn_coeffs = state._coeffs[active] * (spawn * _SIGN_FROM_K4[k4])
+    spawn_keys = take_rows(keys, act)
+    spawn_keys ^= gwords
     # canonical order inside the spawn block fixes the assignment order of
-    # fresh insertion indices, independent of any partitioning of the input;
-    # they start above every index in the state, so on a collision the
-    # existing term keeps its index
+    # fresh insertion indices, independent of any partitioning of the input
     order = canonical_argsort(spawn_keys)
-    spawn_keys = spawn_keys[order]
-    spawn_coeffs = spawn_coeffs[order]
-    fresh = int(state._indices.max()) + 1
-    spawn_indices = np.arange(fresh, fresh + n_active, dtype=np.int64)
-    keys = np.concatenate([state._keys, spawn_keys])
-    coeffs = np.concatenate([coeffs, spawn_coeffs])
-    indices = np.concatenate([state._indices, spawn_indices])
-    keys, coeffs, indices = _coalesce(keys, coeffs, indices, drop_relative)
-    return PauliSum._from_raw(state.n_qubits, keys, coeffs, indices)
+    spawn_keys = take_rows(spawn_keys, order)
+    act = act[order]
+    # multiply(Q, P), with each source row P recovered as spawned key ^ Q
+    k4 = phase_exponent(gwords, spawn_keys ^ gwords)
+    spawn_coeffs = state._coeffs[act] * (spawn * _SIGN_FROM_K4[k4])
+    pos, found = find_rows(keys, spawn_keys)
+    coeffs[pos[found]] += spawn_coeffs[found]
+    new = np.flatnonzero(~found)
+    # numerical-zero drop, relative to the largest merged magnitude
+    absc = np.abs(coeffs)
+    absn = np.abs(spawn_coeffs[new])
+    top = np.maximum(absc.max(), absn.max()) if new.size else absc.max()
+    floor = drop_relative * top
+    keep = (absc >= floor) & (absc > 0)
+    new = new[(absn >= floor) & (absn > 0)]
+    indices = state._indices
+    all_kept = bool(keep.all())
+    if not all_kept:
+        keys = take_rows(keys, keep)
+        coeffs, indices = coeffs[keep], indices[keep]
+    if new.size == 0:
+        return PauliSum._from_raw(state.n_qubits, keys, coeffs, indices)
+    # insert: a new row lands after the kept state rows below it and the
+    # new rows before it; fresh indices start above every index in the
+    # state and follow the rank within the spawn block
+    below = pos[new]
+    if not all_kept:
+        below = np.concatenate(([0], np.cumsum(keep)))[below]
+    at = below + np.arange(new.size)
+    total = len(coeffs) + new.size
+    is_old = np.ones(total, dtype=bool)
+    is_old[at] = False
+
+    def insert(old, fresh_rows):
+        # one shared mask instead of an np.insert per array
+        out = np.empty(total, dtype=old.dtype)
+        out[at] = fresh_rows
+        out[is_old] = old
+        return out
+
+    rows = insert(row_view(keys), row_view(spawn_keys)[new])
+    return PauliSum._from_raw(
+        state.n_qubits,
+        rows.view(np.uint64).reshape(total, keys.shape[1]),
+        insert(coeffs, spawn_coeffs[new]),
+        insert(indices, new + (int(state._indices.max()) + 1)),
+    )
 
 
 def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,

@@ -392,6 +392,30 @@ class TestSerialization:
         assert resumed == full
         assert np.array_equal(resumed._indices, full._indices)
 
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_rows_out_of_order_or_extra_rejected(self, n):
+        pad = "I" * (n - 3)
+        a = PauliSum.from_terms(n, [(1.0, "III" + pad), (0.5, "ZII" + pad),
+                                    (0.25, "IXI" + pad), (0.125, "ZZZ" + pad)])
+        lines = dumps_pauli_sum(a).splitlines(keepends=True)
+        head, rows = lines[:3], lines[3:]
+        assert head[2] == "n_terms = 4\n"
+
+        def load(text):
+            return load_pauli_sum(io.StringIO(text))
+
+        # trailing blank lines are harmless
+        assert load("".join(head + rows) + "\n  \n")[0] == a
+        swapped = rows[:1] + [rows[2], rows[1]] + rows[3:]
+        with pytest.raises(ValueError, match="row 2 is not above row 1"):
+            load("".join(head + swapped))
+        with pytest.raises(ValueError, match="row 4: content after"):
+            load("".join(head + rows + rows[-1:]))
+        repeated = ["n_terms = 5\n" if line == head[2] else line
+                    for line in head]
+        with pytest.raises(ValueError, match="row 4 is not above row 3"):
+            load("".join(repeated + rows + rows[-1:]))
+
     def test_complex_rejected(self):
         x = PauliSum.from_terms(1, [(1.0, "X")])
         y = PauliSum.from_terms(1, [(1.0, "Y")])

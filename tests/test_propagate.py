@@ -6,6 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paulievo
 from paulievo import (
@@ -24,20 +25,22 @@ from paulievo import (
     dense_trotter_ite,
     expectation,
     expectation_squared_state,
+    normalize_by_trace,
     pauli_from_text,
     product,
     reachable_support_size,
     relative_error,
     run_itpp,
     trotter_sequence,
+    truncate,
 )
-from paulievo.opsum import dumps_pauli_sum
+from paulievo.opsum import MERGE_DROP_RELATIVE, _coalesce, dumps_pauli_sum
 from paulievo.oracle import (
     imaginary_conjugation_matrix,
     pauli_sum_matrix,
     real_conjugation_matrix,
 )
-from paulievo.pauli import commutes, multiply
+from paulievo.pauli import commutes, key_to_words, multiply, unpack_string
 
 from helpers import all_pauli_texts, dense, random_pauli_sum, random_pauli_text
 
@@ -170,6 +173,195 @@ class TestRealGate:
         back = apply_real_gate(there, GateSpec(g, theta=-1.1))
         for s, c in a.items():
             assert back.coefficient(s) == pytest.approx(c, abs=1e-12)
+
+
+# sign of i**k of the product phase, as the gate rules use it
+_SPAWN_SIGN = (1.0, -1.0, -1.0, 1.0)
+
+
+def coalesce_gate(state, generator, *, branch_when_commuting, stay, spawn,
+                  drop_relative=MERGE_DROP_RELATIVE):
+    """Oracle for one gate: the scale-and-spawn rule term by term with the
+    scalar algebra, then one full canonical re-sort of the state and the
+    spawn block together through ``_coalesce``."""
+    width = state._keys.shape[1]
+    coeffs = state._coeffs.copy()
+    spawned = []
+    for i, row in enumerate(state._keys):
+        p = unpack_string(row, state.n_qubits)
+        if commutes(p, generator) != branch_when_commuting:
+            continue
+        coeffs[i] *= stay
+        phase, r = multiply(generator, p)
+        sign = _SPAWN_SIGN[phase.k]
+        spawned.append((r.key, state._coeffs[i] * (spawn * sign)))
+    if not spawned:
+        return state
+    spawned.sort()  # integer key order is the canonical order
+    fresh = int(state._indices.max()) + 1
+    keys = np.concatenate(
+        [state._keys, np.stack([key_to_words(k, width) for k, _ in spawned])]
+    )
+    coeffs = np.concatenate([coeffs, [c for _, c in spawned]])
+    indices = np.concatenate(
+        [state._indices, np.arange(fresh, fresh + len(spawned))]
+    )
+    return PauliSum._from_raw(
+        state.n_qubits, *_coalesce(keys, coeffs, indices, drop_relative)
+    )
+
+
+def assert_same_rows(got, want):
+    assert np.array_equal(got._keys, want._keys)
+    assert np.array_equal(got._coeffs, want._coeffs)
+    assert np.array_equal(got._indices, want._indices)
+
+
+def gate_rule(g, drop_relative=MERGE_DROP_RELATIVE):
+    """The gate under test and the matching oracle call."""
+    if g.tau_eff is not None:
+        t = g.tau_eff
+        return (
+            lambda s: apply_imaginary_gate(s, g, drop_relative=drop_relative),
+            lambda s: coalesce_gate(
+                s, g.generator, branch_when_commuting=True,
+                stay=math.cosh(t), spawn=-math.sinh(t),
+                drop_relative=drop_relative,
+            ),
+        )
+    th = g.theta
+    return (
+        lambda s: apply_real_gate(s, g),
+        lambda s: coalesce_gate(
+            s, g.generator, branch_when_commuting=False,
+            stay=math.cos(th), spawn=math.sin(th),
+        ),
+    )
+
+
+@st.composite
+def merge_cases(draw):
+    """A gate and a state built around it: random terms, some with their
+    ``Q P`` partner, and some partners whose coefficient cancels the spawn
+    landing on them exactly or up to a few ulps."""
+    n = draw(st.sampled_from([12, 40]))
+    strings = st.text("IXYZ", min_size=n, max_size=n)
+    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                          unique=True))
+    letters = ["I"] * n
+    for q in sites:
+        letters[q] = draw(st.sampled_from("XYZ"))
+    generator = pauli_from_text("".join(letters))
+    angle = draw(st.floats(0.01, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
+    imaginary = draw(st.booleans())
+    if imaginary:
+        g = GateSpec(generator, tau_eff=angle)
+        stay, spawn = math.cosh(angle), -math.sinh(angle)
+        drop = draw(st.sampled_from([MERGE_DROP_RELATIVE, 0.0]))
+    else:
+        g = GateSpec(generator, theta=angle)
+        stay, spawn = math.cos(angle), math.sin(angle)
+        drop = MERGE_DROP_RELATIVE
+    terms = {}
+    if draw(st.booleans()):
+        terms["I" * n] = 1.0
+    for text in draw(st.lists(strings, min_size=1, max_size=12, unique=True)):
+        c = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+        terms[text] = c
+        mode = draw(st.sampled_from(["alone", "partner", "cancel"]))
+        if mode == "alone":
+            continue
+        p = pauli_from_text(text)
+        phase, r = multiply(generator, p)
+        partner = c * draw(st.floats(-1.0, 1.0))
+        if mode == "cancel":
+            # the partner's merged value is fl(c_R * stay) + c * spawn * sign
+            landing = c * (spawn * _SPAWN_SIGN[phase.k])
+            partner = -landing / stay
+            for _ in range(abs(draw(st.integers(-12, 12)))):
+                partner = np.nextafter(partner, math.inf)
+        terms[r.text()] = float(partner)
+    state = PauliSum.from_terms(
+        n, [(c, t) for t, c in terms.items() if c != 0.0]
+    )
+    return state, g, drop
+
+
+class TestMergeKernel:
+    """The lookup-and-insert gate against the full re-sort it replaces."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases())
+    def test_matches_coalesce_oracle(self, case):
+        state, g, drop = case
+        if len(state) == 0:
+            return
+        apply, oracle = gate_rule(g, drop)
+        assert_same_rows(apply(state), oracle(state))
+
+    def test_exact_zero_and_residue_drop(self):
+        """A partner whose merged value is exactly zero always drops; one
+        that leaves a residue of a few ulps drops at the default
+        ``drop_relative`` and survives at 0.0."""
+        g = GateSpec(pauli_from_text("ZZ" + "I" * 10), tau_eff=0.3)
+        stay, spawn = math.cosh(0.3), -math.sinh(0.3)
+        rest = "I" * 10
+
+        def merged(c, partner):
+            # the phase of (ZZ)(ZI) is +1, so ZI spawns c * spawn onto IZ
+            return partner * stay + c * spawn
+
+        found = {}
+        for c in np.linspace(0.5, 0.9, 41):
+            partner = -(c * spawn) / stay
+            for _ in range(8):
+                value = merged(c, partner)
+                kind = "zero" if value == 0.0 else "residue"
+                found.setdefault(kind, (float(c), float(partner)))
+                partner = np.nextafter(partner, math.inf)
+        assert set(found) == {"zero", "residue"}
+        for kind, (c, partner) in found.items():
+            state = PauliSum.from_terms(
+                12, [(1.0, "I" * 12), (c, "ZI" + rest), (partner, "IZ" + rest)]
+            )
+            for drop in (MERGE_DROP_RELATIVE, 0.0):
+                out = apply_imaginary_gate(state, g, drop_relative=drop)
+                assert_same_rows(out, coalesce_gate(
+                    state, g.generator, branch_when_commuting=True,
+                    stay=stay, spawn=spawn, drop_relative=drop,
+                ))
+                survives = kind == "residue" and drop == 0.0
+                assert ("IZ" + rest in out) == survives
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_drop_floor_includes_new_rows(self, n):
+        """The largest merged magnitude can be a new row: here the spawned
+        Y (0.997) sets the floor that drops the untouched 3e-16 X, while
+        the state rows alone (Z at 0.07) would not."""
+        rest = "I" * (n - 1)
+        base = PauliSum.from_terms(n, [(1.0, "Z" + rest), (1.0, "X" + rest)])
+        # set directly: from_terms would drop 3e-16 next to 1.0 itself
+        coeffs = np.array([3e-16 if p.letter(0) == "X" else 1.0
+                           for p, _ in base.items()])
+        state = PauliSum._from_raw(n, base._keys, coeffs, base._indices)
+        g = GateSpec(pauli_from_text("X" + rest), theta=1.5)
+        apply, oracle = gate_rule(g)
+        out = apply(state)
+        assert_same_rows(out, oracle(state))
+        assert "X" + rest not in out and "Y" + rest in out
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_tfim_gates_match_oracle(self, n):
+        """Every gate of three FixedK Trotter steps, where most spawned
+        terms collide with the state."""
+        ham = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        gates = trotter_sequence(ham, ScheduleConfig(0.04, 0.12))
+        state = PauliSum.identity(n)
+        for g in gates:
+            apply, oracle = gate_rule(g)
+            out = apply(state)
+            assert_same_rows(out, oracle(state))
+            state = normalize_by_trace(truncate(out, FixedK(300)))
 
 
 class TestTrotterSequence:
