@@ -436,6 +436,21 @@ def cmd_resume(args) -> int:
             cfg.stop_after_step = 0
         state, extras = load_pauli_sum(ckpt_path)
         step = int(extras["step"])
+        # checked before run_single rewrites anything in the run directory
+        n_qubits = cfg.hamiltonian().n_qubits
+        if state.n_qubits != n_qubits:
+            raise ConfigError(
+                f"checkpoint has {state.n_qubits} qubits but the model in "
+                f"{config_path} has {n_qubits}"
+            )
+        # the same expression run_itpp records at the end of a step
+        expected_tau = repr(step * cfg.delta_tau)
+        if extras.get("tau") != expected_tau:
+            raise ConfigError(
+                f"checkpoint tau {extras.get('tau')} at step {step} does not "
+                f"match delta_tau = {cfg.delta_tau!r} in {config_path} "
+                f"(expected {expected_tau})"
+            )
         kept_rows = []
         if os.path.exists(traj_path):
             with open(traj_path) as f:

@@ -19,6 +19,7 @@ lineage, never across independently built sums.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -29,6 +30,7 @@ from .pauli import (
     PauliString,
     canonical_argsort,
     find_rows,
+    join_xz_bits,
     key_to_words,
     n_words,
     pauli_from_text,
@@ -36,6 +38,7 @@ from .pauli import (
     row_weights,
     rows_equal_adjacent,
     rows_out_of_order,
+    split_xz_bits,
     take_rows,
     words_to_key,
 )
@@ -47,6 +50,18 @@ MERGE_DROP_RELATIVE = 1e-15
 DEFAULT_TRACE_EPS = 1e-300
 
 CHECKPOINT_FORMAT = "pauli-sum v1"
+
+# rows per block of checkpoint text: big enough that numpy's per-call cost
+# vanishes, small enough that a block's lines and temporaries stay below
+# the arrays of the states the benchmarks checkpoint
+CHECKPOINT_BLOCK_ROWS = 1 << 14
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# byte -> hex digit value; 16 marks a byte that is not a hex digit
+_HEX_VALUES = np.full(256, 16, dtype=np.uint8)
+_HEX_VALUES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
+_HEX_VALUES[np.frombuffer(b"abcdef", dtype=np.uint8)] = np.arange(10, 16)
+_HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
 
 _PHASE_TABLE = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
@@ -111,13 +126,13 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
     if keys.shape[0] == 0:
         return keys, coeffs, indices
     order = canonical_argsort(keys)
-    keys = keys[order]
+    keys = take_rows(keys, order)
     coeffs = coeffs[order]
     indices = indices[order]
     dup = rows_equal_adjacent(keys)
     if dup.any():
         starts = np.flatnonzero(~dup)
-        keys = keys[starts]
+        keys = take_rows(keys, starts)
         coeffs = np.add.reduceat(coeffs, starts)
         indices = np.minimum.reduceat(indices, starts)
     absc = np.abs(coeffs)
@@ -125,7 +140,7 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
     keep = absc >= drop_relative * top
     keep &= absc > 0
     if not keep.all():
-        keys = keys[keep]
+        keys = take_rows(keys, keep)
         coeffs = coeffs[keep]
         indices = indices[keep]
     return keys, coeffs, indices
@@ -444,8 +459,9 @@ def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
     """Write a sum as text: a versioned header followed by one term per row.
 
     Rows are ``<hex x_bits> <hex z_bits> <coefficient> <insertion index>``
-    in canonical string order; coefficients use 17 significant digits, which
-    round-trips float64 exactly.
+    in canonical string order; the hex fields are lowercase and
+    ``ceil(n_qubits / 4)`` digits wide, and coefficients use 17 significant
+    digits, which round-trips float64 exactly.
     """
     if not a.is_real:
         raise TypeError("only real-coefficient sums are serialized")
@@ -457,16 +473,103 @@ def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
         f.write(f"n_terms = {len(a)}\n")
         for k, v in (extra_header or {}).items():
             f.write(f"{k} = {v}\n")
-        digits = (a.n_qubits + 3) // 4
-        for row, c, idx in zip(a._keys, a._coeffs, a._indices):
-            p = PauliString(a.n_qubits, words_to_key(row))
-            f.write(
-                f"{p.x_bits:0{digits}x} {p.z_bits:0{digits}x} "
-                f"{c:.17e} {int(idx)}\n"
-            )
+        digits = _hex_digits(a.n_qubits)
+        for start in range(0, len(a), CHECKPOINT_BLOCK_ROWS):
+            stop = start + CHECKPOINT_BLOCK_ROWS
+            x, z = split_xz_bits(a._keys[start:stop], a.n_qubits)
+            f.write("".join([
+                "%s %s %.17e %d\n" % row for row in zip(
+                    _to_hex(x, digits), _to_hex(z, digits),
+                    a._coeffs[start:stop].tolist(),
+                    a._indices[start:stop].tolist())
+            ]))
     finally:
         if own:
             f.close()
+
+
+def _hex_digits(n_qubits: int) -> int:
+    return (n_qubits + 3) // 4
+
+
+def _to_hex(bits: np.ndarray, digits: int) -> list[str]:
+    """Fixed-width lowercase hex of bit columns (qubit 0 most significant)."""
+    m, n_qubits = bits.shape
+    padded = np.zeros((m, 4 * digits), dtype=np.uint8)
+    padded[:, 4 * digits - n_qubits:] = bits
+    nibbles = np.packbits(padded.reshape(m, digits, 4), axis=2)[:, :, 0] >> 4
+    text = _HEX_DIGITS[nibbles].tobytes().decode("ascii")
+    return [text[i:i + digits] for i in range(0, len(text), digits)]
+
+
+def _row_dtype(n_qubits: int) -> np.dtype:
+    # one byte more than the hex width, so a token that is too long shows
+    token = f"S{_hex_digits(n_qubits) + 1}"
+    return np.dtype([("x", token), ("z", token), ("c", np.float64),
+                     ("i", np.int64)])
+
+
+def _from_hex(tokens: np.ndarray, n_qubits: int):
+    """Bit columns of hex tokens, with two row masks: tokens that are not
+    exactly ``ceil(n_qubits / 4)`` hex digits, and tokens that set bits
+    above ``n_qubits`` in the padding of their first digit."""
+    digits = _hex_digits(n_qubits)
+    raw = np.ascontiguousarray(tokens).view(np.uint8).reshape(-1, digits + 1)
+    # a short token ends in NUL padding, which decodes as no digit
+    nibbles = _HEX_VALUES[raw[:, :digits]]
+    malformed = (raw[:, digits] != 0) | (nibbles > 15).any(axis=1)
+    padding = (nibbles[:, 0] >> (n_qubits - 4 * (digits - 1))) != 0
+    bits = np.unpackbits(nibbles[:, :, None], axis=2)[:, :, 4:]
+    bits = bits.reshape(-1, 4 * digits)[:, 4 * digits - n_qubits:]
+    return bits, malformed, padding
+
+
+def _read_rows(lines: list[str], first_row: int, n_qubits: int,
+               keys: np.ndarray, coeffs: np.ndarray,
+               indices: np.ndarray) -> None:
+    """Parse checkpoint rows into the given output slices, raising
+    ``ValueError`` that names the absolute row of the first bad line."""
+    parsed = None
+    # loadtxt warns on input with no data at all
+    if any(map(str.strip, lines)):
+        try:
+            parsed = np.loadtxt(lines, dtype=_row_dtype(n_qubits),
+                                comments=None, ndmin=1)
+        except ValueError:
+            pass
+    # loadtxt fails on the block or skips its blank lines: parse each line
+    # alone to find the first bad one
+    if parsed is None or parsed.shape[0] != len(lines):
+        if len(lines) == 1:
+            raise ValueError(f"malformed checkpoint row {first_row}")
+        for j, line in enumerate(lines):
+            _read_rows([line], first_row + j, n_qubits, keys[j:j + 1],
+                       coeffs[j:j + 1], indices[j:j + 1])
+        return
+    x, bad_x, high_x = _from_hex(parsed["x"], n_qubits)
+    z, bad_z, high_z = _from_hex(parsed["z"], n_qubits)
+    finite = np.isfinite(parsed["c"])
+    bad = bad_x | bad_z | high_x | high_z | ~finite
+    if bad.any():
+        j = int(np.argmax(bad))
+        row = first_row + j
+        if bad_x[j] or bad_z[j]:
+            raise ValueError(
+                f"checkpoint row {row}: x or z field is not "
+                f"{_hex_digits(n_qubits)} hex digits"
+            )
+        if high_x[j] or high_z[j]:
+            raise ValueError(
+                f"checkpoint row {row}: x or z field sets bits above "
+                f"{n_qubits} qubits"
+            )
+        raise ValueError(
+            f"checkpoint row {row}: coefficient {float(parsed['c'][j])!r} "
+            "is not finite"
+        )
+    keys[:] = join_xz_bits(x, z)
+    coeffs[:] = parsed["c"]
+    indices[:] = parsed["i"]
 
 
 def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
@@ -474,9 +577,14 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     fields.  Insertion indices are restored as saved, so a run resumed from
     the checkpoint continues its lineage exactly.
 
-    Raises ``ValueError`` naming the first bad row when the rows are not
-    strictly increasing in canonical order (out of order or repeated) or
-    when non-blank content follows the ``n_terms`` declared rows.
+    Rows are parsed in blocks of ``CHECKPOINT_BLOCK_ROWS``.  Raises
+    ``ValueError`` naming the first bad row when a row does not have four
+    fields (or is blank or missing), when a hex field is not exactly
+    ``ceil(n_qubits / 4)`` hex digits or sets bits above ``n_qubits``, when
+    a coefficient or index does not parse or a coefficient is not finite,
+    when non-blank content follows the ``n_terms`` declared rows, and when
+    the rows are not strictly increasing in canonical order (out of order
+    or repeated).
     """
     own = isinstance(src, str)
     f = open(src) if own else src
@@ -501,20 +609,21 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
             line = f.readline()
         if n_qubits is None or n_terms is None:
             raise ValueError("checkpoint header missing n_qubits/n_terms")
+        if n_qubits < 1:
+            raise ValueError(f"checkpoint header: n_qubits = {n_qubits}")
         f.seek(pos)
         width = n_words(n_qubits)
         keys = np.zeros((n_terms, width), dtype=np.uint64)
         coeffs = np.zeros(n_terms, dtype=np.float64)
         indices = np.zeros(n_terms, dtype=np.int64)
-        for i in range(n_terms):
-            parts = f.readline().split()
-            if len(parts) != 4:
-                raise ValueError(f"malformed checkpoint row {i}")
-            x, z = int(parts[0], 16), int(parts[1], 16)
-            p = PauliString.from_xz(x, z, n_qubits)
-            keys[i] = key_to_words(p.key, width)
-            coeffs[i] = float(parts[2])
-            indices[i] = int(parts[3])
+        for start in range(0, n_terms, CHECKPOINT_BLOCK_ROWS):
+            wanted = min(CHECKPOINT_BLOCK_ROWS, n_terms - start)
+            lines = list(itertools.islice(f, wanted))
+            stop = start + len(lines)
+            _read_rows(lines, start, n_qubits, keys[start:stop],
+                       coeffs[start:stop], indices[start:stop])
+            if len(lines) < wanted:
+                raise ValueError(f"malformed checkpoint row {stop}")
         if f.read().strip():
             raise ValueError(
                 f"checkpoint row {n_terms}: content after the {n_terms} "

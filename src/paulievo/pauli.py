@@ -387,6 +387,28 @@ def row_weights(keys: np.ndarray) -> np.ndarray:
     )
 
 
+def split_xz_bits(keys: np.ndarray,
+                  n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """X and z bits of packed rows as ``(m, n_qubits)`` ``uint8`` columns,
+    column ``q`` holding qubit ``q``; the row form of
+    :attr:`PauliString.x_bits` and :attr:`PauliString.z_bits`."""
+    # read as big-endian bytes, each word's bits run qubit 0 x, qubit 0 z,
+    # qubit 1 x, ... from the most significant end
+    big_endian = np.ascontiguousarray(keys, dtype=">u8")
+    bits = np.unpackbits(big_endian.view(np.uint8), axis=1)
+    return bits[:, 0:2 * n_qubits:2], bits[:, 1:2 * n_qubits:2]
+
+
+def join_xz_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`split_xz_bits`: packed rows from 0/1 bit columns;
+    the row form of :meth:`PauliString.from_xz`."""
+    m, n_qubits = x.shape
+    bits = np.zeros((m, 64 * n_words(n_qubits)), dtype=np.uint8)
+    bits[:, 0:2 * n_qubits:2] = x
+    bits[:, 1:2 * n_qubits:2] = z
+    return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
+
+
 def pack_strings(strings: Iterable[PauliString], n_qubits: int) -> np.ndarray:
     """Pack scalar strings into an (m, n_words) array."""
     width = n_words(n_qubits)

@@ -528,18 +528,18 @@ def reachable_support_size(hamiltonian: Hamiltonian,
         for g in gens:
             mask = ~anticommute_mask(frontier, g)
             if mask.any():
-                spawned.append(frontier[mask] ^ g[None, :])
+                spawned.append(take_rows(frontier, mask) ^ g[None, :])
         if not spawned:
             break
         cand = np.concatenate(spawned)
         order = canonical_argsort(cand)
-        cand = cand[order]
-        cand = cand[~rows_equal_adjacent(cand)]
-        frontier = cand[~find_rows(seen, cand)[1]]
+        cand = take_rows(cand, order)
+        cand = take_rows(cand, ~rows_equal_adjacent(cand))
+        frontier = take_rows(cand, ~find_rows(seen, cand)[1])
         if frontier.shape[0] == 0:
             break
         merged = np.concatenate([seen, frontier])
-        seen = merged[canonical_argsort(merged)]
+        seen = take_rows(merged, canonical_argsort(merged))
         if max_size is not None and seen.shape[0] > max_size:
             raise ValueError(
                 f"reachable support exceeds max_size={max_size}"

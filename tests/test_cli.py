@@ -149,6 +149,26 @@ class TestResume:
         res = run_cli("resume", str(out))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("delta_tau = 0.04", "delta_tau = 0.02", "tau"),
+        ("N = 4", "N = 5", "qubits"),
+    ])
+    def test_checkpoint_config_mismatch_rejected(self, tmp_path, old, new,
+                                                 message):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "4", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        config = out / "config.ini"
+        assert old in config.read_text()
+        config.write_text(config.read_text().replace(old, new))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert message in res.stderr
+        # nothing in the run directory was rewritten
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_periodic_checkpoints_written(self, tmp_path):
         out = tmp_path / "ckpt"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import paulievo.opsum as opsum_module
+
 from paulievo import (
     DimensionMismatchError,
     FixedK,
@@ -29,7 +31,15 @@ from paulievo import (
     save_pauli_sum,
     truncate,
 )
-from paulievo.opsum import dumps_pauli_sum
+from paulievo.opsum import CHECKPOINT_BLOCK_ROWS, dumps_pauli_sum
+from paulievo.pauli import (
+    PauliString,
+    key_to_words,
+    n_words,
+    rows_out_of_order,
+    valid_key_mask,
+    words_to_key,
+)
 
 from helpers import dense, normalized_trace_dense, random_pauli_sum
 
@@ -421,3 +431,247 @@ class TestSerialization:
         y = PauliSum.from_terms(1, [(1.0, "Y")])
         with pytest.raises(TypeError):
             dumps_pauli_sum(product(x, y))
+
+
+# ---------------------------------------------------------------------------
+# The per-row checkpoint writer and reader that the block-streamed ones
+# replaced, kept as their oracle.  The only addition is in the reader: an
+# error raised while a row is parsed is re-raised naming that row, so the
+# two readers' failures compare by row.
+# ---------------------------------------------------------------------------
+
+
+def oracle_save(a, f, extra_header=None):
+    f.write("# pauli-sum v1\n")
+    f.write(f"n_qubits = {a.n_qubits}\n")
+    f.write(f"n_terms = {len(a)}\n")
+    for k, v in (extra_header or {}).items():
+        f.write(f"{k} = {v}\n")
+    digits = (a.n_qubits + 3) // 4
+    for row, c, idx in zip(a._keys, a._coeffs, a._indices):
+        p = PauliString(a.n_qubits, words_to_key(row))
+        f.write(
+            f"{p.x_bits:0{digits}x} {p.z_bits:0{digits}x} "
+            f"{c:.17e} {int(idx)}\n"
+        )
+
+
+def oracle_load(f):
+    first = f.readline().strip()
+    if first != "# pauli-sum v1":
+        raise ValueError(f"unrecognized checkpoint header: {first!r}")
+    header = {}
+    n_qubits = n_terms = None
+    pos = f.tell()
+    line = f.readline()
+    while line and "=" in line:
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key == "n_qubits":
+            n_qubits = int(val)
+        elif key == "n_terms":
+            n_terms = int(val)
+        else:
+            header[key] = val
+        pos = f.tell()
+        line = f.readline()
+    if n_qubits is None or n_terms is None:
+        raise ValueError("checkpoint header missing n_qubits/n_terms")
+    f.seek(pos)
+    width = n_words(n_qubits)
+    keys = np.zeros((n_terms, width), dtype=np.uint64)
+    coeffs = np.zeros(n_terms, dtype=np.float64)
+    indices = np.zeros(n_terms, dtype=np.int64)
+    for i in range(n_terms):
+        try:
+            parts = f.readline().split()
+            if len(parts) != 4:
+                raise ValueError(f"malformed checkpoint row {i}")
+            x, z = int(parts[0], 16), int(parts[1], 16)
+            p = PauliString.from_xz(x, z, n_qubits)
+            keys[i] = key_to_words(p.key, width)
+            coeffs[i] = float(parts[2])
+            indices[i] = int(parts[3])
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"checkpoint row {i}: {err}") from err
+    if f.read().strip():
+        raise ValueError(
+            f"checkpoint row {n_terms}: content after the {n_terms} "
+            "rows the header declares"
+        )
+    unsorted = rows_out_of_order(keys)
+    if unsorted.size:
+        i = int(unsorted[0])
+        raise ValueError(
+            f"checkpoint row {i} is not above row {i - 1} in canonical "
+            "order; rows must be sorted and unique"
+        )
+    return PauliSum._from_raw(n_qubits, keys, coeffs, indices), header
+
+
+def random_checkpoint_sum(n, rows, seed):
+    """``rows`` distinct random strings (all of them when ``4**n`` is
+    smaller) with coefficients drawn from every finite nonzero float64 bit
+    pattern and indices from the whole int64 range."""
+    rng = np.random.default_rng(seed)
+    width = n_words(n)
+    rows = min(rows, 4 ** n)
+    mask = key_to_words(valid_key_mask(n), width)
+    top = np.iinfo(np.uint64).max
+    keys = np.zeros((0, width), dtype=np.uint64)
+    while keys.shape[0] < rows:
+        fresh = rng.integers(0, top, size=(2 * rows, width), dtype=np.uint64,
+                             endpoint=True) & mask
+        keys = np.unique(np.concatenate([keys, fresh]), axis=0)
+    keys = keys[np.sort(rng.choice(keys.shape[0], rows, replace=False))]
+    coeffs = rng.integers(0, top, size=rows, dtype=np.uint64,
+                          endpoint=True).view(np.float64)
+    coeffs = np.where(np.isfinite(coeffs) & (coeffs != 0), coeffs, 0.375)
+    indices = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                           size=rows, dtype=np.int64, endpoint=True)
+    return PauliSum._from_raw(n, np.ascontiguousarray(keys), coeffs, indices)
+
+
+CHECKPOINT_WIDTHS = [1, 3, 4, 5, 12, 31, 32, 33, 40, 64, 65, 70]
+
+
+def assert_same_as_oracle(a):
+    """Save and load ``a`` both ways; text and arrays must be identical."""
+    extra = {"step": 3, "tau": repr(0.12)}
+    expected = io.StringIO()
+    oracle_save(a, expected, extra)
+    text = dumps_pauli_sum(a, extra)
+    assert text == expected.getvalue()
+    b, header = load_pauli_sum(io.StringIO(text))
+    c, oracle_header = oracle_load(io.StringIO(text))
+    assert header == oracle_header == {"step": "3", "tau": "0.12"}
+    for loaded in (b, c):
+        assert loaded.n_qubits == a.n_qubits
+        assert np.array_equal(loaded._keys, a._keys)
+        assert np.array_equal(loaded._coeffs, a._coeffs)
+        assert np.array_equal(loaded._indices, a._indices)
+
+
+class TestBlockStreamedCheckpoints:
+    """The block-streamed checkpoint writer and reader against the per-row
+    oracle, at every hex padding and word boundary and around the block
+    size."""
+
+    @given(n=st.sampled_from(CHECKPOINT_WIDTHS), block=st.integers(1, 4),
+           rows=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_row_oracle(self, n, block, rows, seed):
+        a = random_checkpoint_sum(n, rows, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsum_module, "CHECKPOINT_BLOCK_ROWS", block)
+            assert_same_as_oracle(a)
+
+    @pytest.mark.parametrize("n", [7, 40])
+    @pytest.mark.parametrize("rows", [0, 1, CHECKPOINT_BLOCK_ROWS - 1,
+                                      CHECKPOINT_BLOCK_ROWS,
+                                      CHECKPOINT_BLOCK_ROWS + 1])
+    def test_matches_per_row_oracle_at_block_size(self, n, rows):
+        # n=7 has exactly CHECKPOINT_BLOCK_ROWS strings
+        assert_same_as_oracle(random_checkpoint_sum(n, rows, 1000 + rows))
+
+
+def _corrupt_token(rows, r, edit):
+    """Replace the x field of body row ``r`` by ``edit(field)``."""
+    x, rest = rows[r].split(" ", 1)
+    return rows[:r] + [f"{edit(x)} {rest}"] + rows[r + 1:]
+
+
+def _corrupt_field(rows, r, k, value):
+    parts = rows[r].split()
+    parts[k] = value
+    return rows[:r] + [" ".join(parts) + "\n"] + rows[r + 1:]
+
+
+def _set_padding_bit(x):
+    return format(int(x[0], 16) | 8, "x") + x[1:]
+
+
+# (name, edit of the body rows, row the error names, what the error says,
+# whether the per-row oracle accepted the file); the corrupted row is 2 of 5
+HEX = "hex digits"
+MALFORMED = "malformed checkpoint row"
+CORRUPTIONS = [
+    ("non-hex digit", lambda rows: _corrupt_token(
+        rows, 2, lambda x: x[:-1] + "g"), 2, HEX, False),
+    ("one digit short", lambda rows: _corrupt_token(
+        rows, 2, lambda x: x[1:]), 2, HEX, True),
+    ("one digit long", lambda rows: _corrupt_token(
+        rows, 2, lambda x: "0" + x), 2, HEX, True),
+    ("0x prefix", lambda rows: _corrupt_token(
+        rows, 2, lambda x: "0x" + x[2:]), 2, HEX, True),
+    ("sign", lambda rows: _corrupt_token(
+        rows, 2, lambda x: "+" + x[1:]), 2, HEX, True),
+    ("underscore", lambda rows: _corrupt_token(
+        rows, 2, lambda x: x[:-2] + "_" + x[-1]), 2, HEX, True),
+    ("padding bit", lambda rows: _corrupt_token(
+        rows, 2, _set_padding_bit), 2, "bits above", False),
+    ("bad coefficient", lambda rows: _corrupt_field(rows, 2, 2, "1.0.5"),
+     2, MALFORMED, False),
+    ("nan coefficient", lambda rows: _corrupt_field(rows, 2, 2, "nan"),
+     2, "not finite", True),
+    ("inf coefficient", lambda rows: _corrupt_field(rows, 2, 2, "-inf"),
+     2, "not finite", True),
+    ("bad index", lambda rows: _corrupt_field(rows, 2, 3, "7.0"), 2,
+     MALFORMED, False),
+    ("3 fields", lambda rows: rows[:2] + [rows[2].rsplit(" ", 1)[0] + "\n"]
+     + rows[3:], 2, MALFORMED, False),
+    ("5 fields", lambda rows: rows[:2] + [rows[2][:-1] + " 9\n"]
+     + rows[3:], 2, MALFORMED, False),
+    ("missing row", lambda rows: rows[:-1], 4, MALFORMED, False),
+    ("blank line", lambda rows: rows[:2] + ["\n"] + rows[2:-1], 2,
+     MALFORMED, False),
+    ("trailing content", lambda rows: rows + rows[-1:], 5, "content after",
+     False),
+    ("swapped pair", lambda rows: rows[:2] + [rows[3], rows[2]] + rows[4:],
+     3, "is not above row 2", False),
+]
+
+
+class TestCorruptCheckpoints:
+    """Each corruption raises ``ValueError`` naming the row the per-row
+    oracle names; the oracle accepted some of them, and the block-streamed
+    reader rejects those on purpose."""
+
+    @pytest.mark.parametrize("block", [2, CHECKPOINT_BLOCK_ROWS])
+    @pytest.mark.parametrize("n, name, edit, row, says, oracle_accepts", [
+        pytest.param(n, *case, id=f"{case[0]}-{n}")
+        for case in CORRUPTIONS for n in (12, 33, 70)
+        # 4 | n leaves no padding bits
+        if case[0] != "padding bit" or n % 4
+    ])
+    def test_rejected_naming_the_row(self, n, name, edit, row, says,
+                                     oracle_accepts, block):
+        pad = "I" * (n - 3)
+        # row 2 has x bits 0...01, so its field is zeros ending in a 1
+        a = PauliSum.from_terms(n, [
+            (1.0, pad + "III"), (0.5, pad + "IIZ"), (-0.25, pad + "IIX"),
+            (0.125, pad + "IXI"), (2.0 ** -40, pad + "YII")])
+        lines = dumps_pauli_sum(a).splitlines(keepends=True)
+        head, rows = lines[:3], lines[3:]
+        assert len(rows) == 5
+        text = "".join(head + edit(rows))
+        if oracle_accepts:
+            oracle_load(io.StringIO(text))
+        else:
+            with pytest.raises(ValueError, match=rf"row {row}\b"):
+                oracle_load(io.StringIO(text))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsum_module, "CHECKPOINT_BLOCK_ROWS", block)
+            with pytest.raises(ValueError, match=rf"row {row}\b") as err:
+                load_pauli_sum(io.StringIO(text))
+        assert says in str(err.value)
+
+    @pytest.mark.parametrize("header, message", [
+        ("# pauli-sum v2\nn_qubits = 3\nn_terms = 0\n", "header"),
+        ("# pauli-sum v1\nn_terms = 0\n", "missing n_qubits"),
+        ("# pauli-sum v1\nn_qubits = 0\nn_terms = 1\n0 0 1.0 0\n",
+         "n_qubits = 0"),
+        ("# pauli-sum v1\nn_qubits = -2\nn_terms = 0\n", "n_qubits = -2"),
+    ])
+    def test_bad_header_rejected(self, header, message):
+        with pytest.raises(ValueError, match=message):
+            load_pauli_sum(io.StringIO(header))

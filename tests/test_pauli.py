@@ -20,11 +20,13 @@ from paulievo.pauli import (
     anticommute_mask,
     canonical_argsort,
     find_rows,
+    join_xz_bits,
     key_to_words,
     n_words,
     pack_strings,
     phase_exponent,
     row_weights,
+    split_xz_bits,
     unpack_string,
     words_to_key,
 )
@@ -259,6 +261,24 @@ class TestVectorKernels:
             phase_right, _ = multiply(s, gen)
             assert int(k4_right[i]) == phase_right.k
             assert int(weights[i]) == weight(s)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 31, 32, 33, 64, 65, 70])
+    def test_xz_bit_columns_match_scalar(self, n):
+        rng = np.random.default_rng(100 + n)
+        strings = [pauli_from_text(random_pauli_text(rng, n))
+                   for _ in range(40)]
+        strings += [PauliString.identity(n), pauli_from_text("Y" * n)]
+        packed = pack_strings(strings, n)
+        x, z = split_xz_bits(packed, n)
+        assert x.shape == z.shape == (len(strings), n)
+        weights = 1 << np.arange(n - 1, -1, -1, dtype=object)
+        for i, s in enumerate(strings):
+            assert int((x[i].astype(object) * weights).sum()) == s.x_bits
+            assert int((z[i].astype(object) * weights).sum()) == s.z_bits
+            assert PauliString.from_xz(s.x_bits, s.z_bits, n) == s
+        assert np.array_equal(join_xz_bits(x, z), packed)
+        empty = np.zeros((0, n), dtype=np.uint8)
+        assert join_xz_bits(empty, empty).shape == (0, n_words(n))
 
     def test_pack_round_trip(self):
         rng = np.random.default_rng(5)
