@@ -19,7 +19,7 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -190,20 +190,20 @@ def load_config_file(path: str) -> dict:
     return flat
 
 
-_FIELD_TYPES = {
-    "kind": str, "N": int, "J": float, "h": float, "terms_file": str,
-    "delta_tau": float, "tau_final": float, "truncation": str,
-    "observables": str, "out_dir": str, "checkpoint_every": int,
-    "record_per_gate": bool, "stop_after_step": int, "dense_guard": int,
-}
+_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def read_config_echo(path: str) -> RunConfig:
+    cfg = RunConfig()
+    for key, raw in load_config_file(path).items():
+        cfg = replace(cfg, **{key: _coerce(raw, _FIELD_TYPES[key])})
+    return cfg
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit CLI flags."""
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        for key, raw in load_config_file(args.config).items():
-            cfg = replace(cfg, **{key: _coerce(raw, _FIELD_TYPES[key])})
+    config = getattr(args, "config", None)
+    cfg = read_config_echo(config) if config else RunConfig()
     for key in _FIELD_TYPES:
         val = getattr(args, key, None)
         if val is not None:
@@ -220,14 +220,6 @@ def write_config_echo(cfg: RunConfig, path: str) -> None:
             parser.set(section, key, str(getattr(cfg, key)))
     with open(path, "w") as f:
         parser.write(f)
-
-
-def read_config_echo(path: str) -> RunConfig:
-    flat = load_config_file(path)
-    cfg = RunConfig()
-    for key, raw in flat.items():
-        cfg = replace(cfg, **{key: _coerce(raw, _FIELD_TYPES[key])})
-    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,13 @@ order.  All trace conventions are normalized: ``tr(A) := Tr(A) / 2**n``, so
 ``tr(I) = 1`` and distinct Pauli strings are orthonormal under
 ``overlap(A, B) = tr(A @ B)``.
 
-Coefficients are real except in the output of :func:`product`, which carries
-the complex phases of the underlying string products.  Insertion indices
-record first-seen order within one lineage of sums and break ties in
-fixed-size truncation.  A new sum numbers its terms from 0; a gate numbers
-the terms it spawns upward from one past the largest index in its input, so
-a term that is merged or truncated away and later re-created receives a
-fresh index above every surviving one.  Indices compare only within a
-lineage, never across independently built sums.
+Coefficients are real.  Insertion indices record first-seen order within
+one lineage of sums and break ties in fixed-size truncation.  A new sum
+numbers its terms from 0; a gate numbers the terms it spawns upward from
+one past the largest index in its input, so a term that is merged or
+truncated away and later re-created receives a fresh index above every
+surviving one.  Indices compare only within a lineage, never across
+independently built sums.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .pauli import (
     key_to_words,
     n_words,
     pauli_from_text,
-    phase_exponent,
     row_weights,
     rows_equal_adjacent,
     rows_out_of_order,
@@ -62,8 +60,6 @@ _HEX_VALUES = np.full(256, 16, dtype=np.uint8)
 _HEX_VALUES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
 _HEX_VALUES[np.frombuffer(b"abcdef", dtype=np.uint8)] = np.arange(10, 16)
 _HEX_VALUES[np.frombuffer(b"ABCDEF", dtype=np.uint8)] = np.arange(10, 16)
-
-_PHASE_TABLE = np.array([1, 1j, -1, -1j], dtype=np.complex128)
 
 
 class TraceCollapseError(ArithmeticError):
@@ -189,7 +185,7 @@ class PauliSum:
         """Build from ``(coefficient, string)`` pairs, merging duplicates.
 
         Insertion indices follow the order of ``terms``.  Coefficients must
-        be real; complex expansions only ever arise from :func:`product`.
+        be real.
         """
         width = n_words(n_qubits)
         keys = []
@@ -272,11 +268,6 @@ class PauliSum:
         for row, c in zip(self._keys, self._coeffs):
             yield PauliString(self.n_qubits, words_to_key(row)), c
 
-    def max_abs_coefficient(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        return float(np.abs(self._coeffs).max())
-
     def __eq__(self, other) -> bool:
         """Equal strings and coefficients; insertion indices are not
         compared, so checks that care about lineage (which decides FixedK
@@ -313,7 +304,7 @@ def _require_same_width(a: PauliSum, b: PauliSum) -> None:
 def normalized_trace(a: PauliSum) -> float:
     """Coefficient of the identity string (``tr := Tr / 2**n``)."""
     if len(a) and not a._keys[0].any():
-        return float(a._coeffs[0].real) if not a.is_real else float(a._coeffs[0])
+        return float(a._coeffs[0])
     return 0.0
 
 
@@ -327,16 +318,13 @@ def _intersect_indices(a: PauliSum, b: PauliSum):
     return pos[found], np.flatnonzero(found)
 
 
-def overlap(a: PauliSum, b: PauliSum):
-    """``tr(A B) = sum_P a_P b_P`` over the common strings (no conjugation)."""
+def overlap(a: PauliSum, b: PauliSum) -> float:
+    """``tr(A B) = sum_P a_P b_P`` over the common strings."""
     _require_same_width(a, b)
     if len(a) == 0 or len(b) == 0:
         return 0.0
     ia, ib = _intersect_indices(a, b)
-    val = (a._coeffs[ia] * b._coeffs[ib]).sum()
-    if np.iscomplexobj(val):
-        return complex(val)
-    return float(val)
+    return float((a._coeffs[ia] * b._coeffs[ib]).sum())
 
 
 def purity(a: PauliSum) -> float:
@@ -344,44 +332,6 @@ def purity(a: PauliSum) -> float:
     if not a.is_real:
         raise TypeError("purity requires real coefficients")
     return float((a._coeffs * a._coeffs).sum())
-
-
-def product(a: PauliSum, b: PauliSum, *, block_rows: int = 1 << 20) -> PauliSum:
-    """Full operator product ``A @ B`` with complex coefficients.
-
-    Expands every pairwise string product with its phase and merges like
-    strings.  The smaller operand is looped over; the larger is processed
-    as whole blocks, so memory stays near ``block_rows`` keys.
-    """
-    _require_same_width(a, b)
-    if len(a) == 0 or len(b) == 0:
-        return PauliSum(a.n_qubits)
-    left_small = len(a) <= len(b)
-    small, big = (a, b) if left_small else (b, a)
-    acc_keys = []
-    acc_coeffs = []
-    for i in range(len(small)):
-        lw = small._keys[i]
-        for start in range(0, len(big), block_rows):
-            rows = big._keys[start:start + block_rows]
-            # phase of multiply(a_term, b_term); the fixed operand sits on
-            # whichever side of the product the smaller sum occupies
-            k4 = phase_exponent(lw, rows) if left_small else \
-                phase_exponent(rows, lw)
-            coeffs = (
-                small._coeffs[i]
-                * big._coeffs[start:start + block_rows]
-                * _PHASE_TABLE[k4]
-            )
-            acc_keys.append(rows ^ lw[None, :])
-            acc_coeffs.append(coeffs)
-    keys = np.concatenate(acc_keys)
-    # the phase table already makes every block complex128
-    coeffs = np.concatenate(acc_coeffs).astype(np.complex128, copy=False)
-    del acc_keys, acc_coeffs  # free the blocks before the coalesce copies
-    indices = np.arange(len(coeffs), dtype=np.int64)
-    keys, coeffs, indices = _coalesce(keys, coeffs, indices)
-    return PauliSum._from_raw(a.n_qubits, keys, coeffs, indices)
 
 
 def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
@@ -578,13 +528,15 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     the checkpoint continues its lineage exactly.
 
     Rows are parsed in blocks of ``CHECKPOINT_BLOCK_ROWS``.  Raises
-    ``ValueError`` naming the first bad row when a row does not have four
-    fields (or is blank or missing), when a hex field is not exactly
-    ``ceil(n_qubits / 4)`` hex digits or sets bits above ``n_qubits``, when
-    a coefficient or index does not parse or a coefficient is not finite,
-    when non-blank content follows the ``n_terms`` declared rows, and when
-    the rows are not strictly increasing in canonical order (out of order
-    or repeated).
+    ``ValueError`` naming the ``n_terms`` header when it is negative or
+    more rows than the rest of the file can hold, which is checked before
+    anything is allocated.  Raises ``ValueError`` naming the first bad row
+    when a row does not have four fields (or is blank or missing), when a
+    hex field is not exactly ``ceil(n_qubits / 4)`` hex digits or sets bits
+    above ``n_qubits``, when a coefficient or index does not parse or a
+    coefficient is not finite, when non-blank content follows the
+    ``n_terms`` declared rows, and when the rows are not strictly
+    increasing in canonical order (out of order or repeated).
     """
     own = isinstance(src, str)
     f = open(src) if own else src
@@ -611,6 +563,17 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
             raise ValueError("checkpoint header missing n_qubits/n_terms")
         if n_qubits < 1:
             raise ValueError(f"checkpoint header: n_qubits = {n_qubits}")
+        # allocate no more rows than the file can hold: a row is at least
+        # two hex fields, a one-character coefficient and index, three
+        # separators and a newline, which the last row may omit (the bytes
+        # left are at least the characters left)
+        left = f.seek(0, io.SEEK_END) - pos
+        min_row = 2 * _hex_digits(n_qubits) + 6
+        if n_terms < 0 or n_terms * min_row - 1 > left:
+            raise ValueError(
+                f"checkpoint header: n_terms = {n_terms} does not fit in "
+                f"the {left} characters after the header"
+            )
         f.seek(pos)
         width = n_words(n_qubits)
         keys = np.zeros((n_terms, width), dtype=np.uint64)

@@ -43,7 +43,6 @@ from .opsum import (
     normalize_by_trace,
     normalized_trace,
     overlap,
-    product,
     purity,
     truncate,
 )
@@ -62,6 +61,9 @@ from .pauli import (
 # sign of i**k for k in {0,1,2,3}; both propagation rules produce real
 # spawned coefficients whose sign is +1 for k in {0,3} and -1 for {1,2}
 _SIGN_FROM_K4 = np.array([1.0, -1.0, -1.0, 1.0])
+
+# i**k is +1 or +i for k in {0,1} and -1 or -i for k in {2,3}
+_PHASE_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
 # residual imaginary parts beyond this bound indicate a bug, not round-off
 IMAG_RESIDUE_REL = 1e-9
@@ -328,17 +330,15 @@ def trotter_sequence(hamiltonian: Hamiltonian,
     return _step_gates(hamiltonian, schedule) * schedule.n_steps
 
 
-def _real_part(value) -> float:
+def _real_part(real: float, imag: float) -> float:
     """Real part of an estimator numerator; a residual imaginary part past
     round-off scale means non-Hermitian operands, so it raises."""
-    if isinstance(value, complex):
-        if abs(value.imag) > IMAG_RESIDUE_REL * abs(value.real) + IMAG_RESIDUE_ABS:
-            raise ValueError(
-                f"imaginary residue {value.imag!r} exceeds the round-off "
-                "bound; operands are not Hermitian-real"
-            )
-        return value.real
-    return float(value)
+    if abs(imag) > IMAG_RESIDUE_REL * abs(real) + IMAG_RESIDUE_ABS:
+        raise ValueError(
+            f"imaginary residue {imag!r} exceeds the round-off "
+            "bound; operands are not Hermitian-real"
+        )
+    return real
 
 
 def expectation(observable: PauliSum, state: PauliSum) -> float:
@@ -346,7 +346,7 @@ def expectation(observable: PauliSum, state: PauliSum) -> float:
     tr = normalized_trace(state)
     if tr == 0.0:
         raise TraceCollapseError("state has zero trace")
-    return _real_part(overlap(observable, state)) / tr
+    return overlap(observable, state) / tr
 
 
 def expectation_squared_state(observable: PauliSum, state: PauliSum) -> float:
@@ -354,13 +354,32 @@ def expectation_squared_state(observable: PauliSum, state: PauliSum) -> float:
 
     Squaring restores positive semidefiniteness lost to truncation; the
     result approximates the observable at twice the accumulated imaginary
-    time.  Evaluated as ``overlap(O rho, rho) / purity(rho)`` so the full
-    square is never materialized.
+    time.  The numerator is read off the sorted state without forming any
+    product: ``tr(Q P R) = i**k(Q, P)`` when ``R = Q P`` up to its phase and
+    0 otherwise, so ``tr(O rho^2) = sum_Q o_Q sum_P rho_P rho_{QP} i**k``,
+    one row lookup of ``keys ^ Q`` per observable term ``Q``.  Odd ``k``
+    give imaginary terms, which cancel for real coefficients and are only
+    checked against round-off.
     """
+    if observable.n_qubits != state.n_qubits:
+        raise DimensionMismatchError(
+            f"observable width {observable.n_qubits} != state width "
+            f"{state.n_qubits}"
+        )
     pur = purity(state)
     if pur == 0.0:
         raise DegenerateStateError("state has zero purity")
-    return _real_part(overlap(product(observable, state), state)) / pur
+    keys, coeffs = state._keys, state._coeffs
+    real = imag = 0.0
+    for q, o in zip(observable._keys, observable._coeffs):
+        pos, found = find_rows(keys, keys ^ q)
+        src = np.flatnonzero(found)
+        k4 = phase_exponent(q, take_rows(keys, src))
+        terms = coeffs[src] * coeffs[pos[src]] * _PHASE_SIGN[k4]
+        odd = (k4 & 1).astype(bool)
+        real += o * terms[~odd].sum()
+        imag += o * terms[odd].sum()
+    return _real_part(float(real), float(imag)) / pur
 
 
 def relative_error(energy: float, reference: float) -> float:

@@ -7,7 +7,7 @@ from itertools import product as iterproduct
 
 import numpy as np
 
-from paulievo import PauliSum, pauli_from_text
+from paulievo import PauliString, PauliSum, multiply, pauli_from_text
 from paulievo.oracle import pauli_matrix, pauli_sum_matrix
 
 
@@ -72,3 +72,31 @@ def dense_of_text(text: str) -> np.ndarray:
 
 def normalized_trace_dense(mat: np.ndarray) -> complex:
     return np.trace(mat) / mat.shape[0]
+
+
+def product_terms(a, b) -> dict:
+    """Operator product ``A @ B`` by explicit pairing, one scalar
+    :func:`paulievo.multiply` per pair of terms, as ``{PauliString:
+    complex}``; ``a`` and ``b`` are PauliSums or such dicts."""
+    out = {}
+    for p, ca in a.items():
+        for q, cb in b.items():
+            phase, r = multiply(p, q)
+            out[r] = out.get(r, 0j) + complex(ca) * complex(cb) * phase.value
+    return out
+
+
+def dense_terms(terms: dict) -> np.ndarray:
+    """Dense matrix of a ``{PauliString: coefficient}`` dict."""
+    return sum(c * pauli_matrix(p) for p, c in terms.items())
+
+
+def squared_state_oracle(obs: PauliSum, rho: PauliSum) -> complex:
+    """``tr(O rho^2) / tr(rho^2)`` from the explicit square of ``rho``:
+    the scalar oracle of the squared-state estimator.  Distinct strings
+    are trace-orthonormal, so the numerator pairs each term of ``O`` with
+    the same string of the square and the denominator is its identity
+    coefficient."""
+    square = product_terms(rho, rho)
+    num = sum(complex(c) * square.get(q, 0j) for q, c in obs.items())
+    return num / square[PauliString.identity(rho.n_qubits)]

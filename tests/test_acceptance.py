@@ -23,11 +23,9 @@ from paulievo import (
     build_tfim,
     dense_exact_ite,
     dense_trotter_ite,
-    expectation,
     expectation_squared_state,
     ground_energy,
     pauli_from_text,
-    product,
     reachable_support_size,
     run_itpp,
     truncate,
@@ -39,7 +37,7 @@ from paulievo.oracle import (
 )
 
 from helpers import all_pauli_texts, random_pauli_sum, random_pauli_text, \
-    read_rows, run_cli
+    read_rows, run_cli, squared_state_oracle
 
 ANGLES = (0.04, -0.04, 0.5, -0.5, 2.0, -2.0)
 
@@ -245,7 +243,7 @@ def test_criterion_6_squared_state_estimator():
             obs = random_pauli_sum(rng, n, 2 * n)
             rho = random_pauli_sum(rng, n, 3 * n, with_identity=True)
             got = expectation_squared_state(obs, rho)
-            via_square = expectation(obs, product(rho, rho))
+            via_square = squared_state_oracle(obs, rho)
             worst = max(worst, abs(got - via_square))
             mo = pauli_sum_matrix(obs)
             mr = pauli_sum_matrix(rho)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, checkpoint/resume."""
 
 import math
+import re
 
 import pytest
 
@@ -167,6 +168,22 @@ class TestResume:
         assert res.returncode == 2
         assert message in res.stderr
         # nothing in the run directory was rewritten
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("n_terms", ["1000000000000000", "-3"])
+    def test_checkpoint_row_count_rejected(self, tmp_path, n_terms):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        ckpt = out / "checkpoint.psum"
+        text = ckpt.read_text()
+        count = re.search(r"^n_terms = \d+$", text, re.MULTILINE).group(0)
+        ckpt.write_text(text.replace(count, f"n_terms = {n_terms}"))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert f"n_terms = {n_terms}" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_periodic_checkpoints_written(self, tmp_path):

@@ -25,7 +25,6 @@ from paulievo import (
     normalized_trace,
     overlap,
     pauli_from_text,
-    product,
     purity,
     run_itpp,
     save_pauli_sum,
@@ -41,7 +40,14 @@ from paulievo.pauli import (
     words_to_key,
 )
 
-from helpers import dense, normalized_trace_dense, random_pauli_sum
+from helpers import (
+    dense,
+    dense_terms,
+    normalized_trace_dense,
+    product_terms,
+    random_pauli_sum,
+    squared_state_oracle,
+)
 
 
 class TestConstruction:
@@ -151,33 +157,24 @@ class TestPurity:
 
 
 class TestProduct:
+    """The explicit product behind the squared-state oracle of the tests."""
+
     def test_x_squared(self):
         x = PauliSum.from_terms(1, [(1.0, "X")])
-        out = product(x, x)
-        assert len(out) == 1
-        assert out.coefficient("I") == 1.0 + 0j
+        assert product_terms(x, x) == {pauli_from_text("I"): 1.0 + 0j}
 
     def test_phase_emerges(self):
         x = PauliSum.from_terms(1, [(1.0, "X")])
         y = PauliSum.from_terms(1, [(1.0, "Y")])
-        out = product(x, y)
-        assert out.coefficient("Z") == 1j
+        assert product_terms(x, y) == {pauli_from_text("Z"): 1j}
 
     def test_dense_oracle_random(self):
         rng = np.random.default_rng(41)
         for _ in range(8):
             a = random_pauli_sum(rng, 3, 5)
             b = random_pauli_sum(rng, 3, 5)
-            got = dense(product(a, b))
+            got = dense_terms(product_terms(a, b))
             assert np.abs(got - dense(a) @ dense(b)).max() < 1e-12
-
-    def test_block_processing_matches(self):
-        rng = np.random.default_rng(43)
-        a = random_pauli_sum(rng, 4, 12)
-        b = random_pauli_sum(rng, 4, 20)
-        full = product(a, b)
-        blocked = product(a, b, block_rows=3)
-        assert full == blocked
 
     def test_associativity_roundoff(self):
         rng = np.random.default_rng(47)
@@ -185,9 +182,18 @@ class TestProduct:
             a = random_pauli_sum(rng, 3, 4)
             b = random_pauli_sum(rng, 3, 4)
             c = random_pauli_sum(rng, 3, 4)
-            left = dense(product(product(a, b), c))
-            right = dense(product(a, product(b, c)))
+            left = dense_terms(product_terms(product_terms(a, b), c))
+            right = dense_terms(product_terms(a, product_terms(b, c)))
             assert np.abs(left - right).max() < 1e-12
+
+    def test_squared_state_oracle_dense(self):
+        rng = np.random.default_rng(43)
+        for _ in range(8):
+            obs = random_pauli_sum(rng, 3, 5)
+            rho = random_pauli_sum(rng, 3, 7, with_identity=True)
+            mo, mr = dense(obs), dense(rho)
+            want = np.trace(mo @ mr @ mr) / np.trace(mr @ mr)
+            assert abs(squared_state_oracle(obs, rho) - want) < 1e-12
 
 
 class TestTruncate:
@@ -427,10 +433,10 @@ class TestSerialization:
             load("".join(repeated + rows + rows[-1:]))
 
     def test_complex_rejected(self):
-        x = PauliSum.from_terms(1, [(1.0, "X")])
-        y = PauliSum.from_terms(1, [(1.0, "Y")])
+        z = PauliSum.from_terms(1, [(1.0, "Z")])
+        iz = PauliSum(1, z._keys, np.array([1j]), z._indices)
         with pytest.raises(TypeError):
-            dumps_pauli_sum(product(x, y))
+            dumps_pauli_sum(iz)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +677,26 @@ class TestCorruptCheckpoints:
         ("# pauli-sum v1\nn_qubits = 0\nn_terms = 1\n0 0 1.0 0\n",
          "n_qubits = 0"),
         ("# pauli-sum v1\nn_qubits = -2\nn_terms = 0\n", "n_qubits = -2"),
+        # both would otherwise reach the array allocation: a MemoryError
+        # for petabytes, numpy's "negative dimensions" error for -3
+        ("# pauli-sum v1\nn_qubits = 3\nn_terms = 1000000000000000\n"
+         "0 0 1.0 0\n", "n_terms = 1000000000000000"),
+        ("# pauli-sum v1\nn_qubits = 3\nn_terms = -3\n", "n_terms = -3"),
     ])
     def test_bad_header_rejected(self, header, message):
         with pytest.raises(ValueError, match=message):
             load_pauli_sum(io.StringIO(header))
+
+    @pytest.mark.parametrize("n_qubits", [3, 40])
+    def test_shortest_rows_fit_the_bound(self, n_qubits):
+        # rows of the least possible length, the last without a newline,
+        # fill the file exactly: they load, and one more declared row is
+        # one more than the file can hold
+        digits = "0" * ((n_qubits + 3) // 4)
+        one = digits[:-1] + "1"
+        rows = f"{digits} {digits} 1 0\n{digits} {one} 2 1"
+        head = f"# pauli-sum v1\nn_qubits = {n_qubits}\n"
+        a, _ = load_pauli_sum(io.StringIO(head + "n_terms = 2\n" + rows))
+        assert a.coefficients().tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match="n_terms = 3 does not fit"):
+            load_pauli_sum(io.StringIO(head + "n_terms = 3\n" + rows))

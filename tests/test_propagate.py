@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import paulievo
 from paulievo import (
+    DimensionMismatchError,
     FixedK,
     GateSpec,
     Hamiltonian,
@@ -27,7 +28,6 @@ from paulievo import (
     expectation_squared_state,
     normalize_by_trace,
     pauli_from_text,
-    product,
     reachable_support_size,
     relative_error,
     run_itpp,
@@ -42,7 +42,13 @@ from paulievo.oracle import (
 )
 from paulievo.pauli import commutes, key_to_words, multiply, unpack_string
 
-from helpers import all_pauli_texts, dense, random_pauli_sum, random_pauli_text
+from helpers import (
+    all_pauli_texts,
+    dense,
+    random_pauli_sum,
+    random_pauli_text,
+    squared_state_oracle,
+)
 
 
 def gate(q_text, tau=None, theta=None):
@@ -634,9 +640,72 @@ class TestEstimators:
         for _ in range(6):
             obs = random_pauli_sum(rng, 4, 8)
             rho = random_pauli_sum(rng, 4, 10, with_identity=True)
-            via_square = expectation(obs, product(rho, rho))
+            via_square = squared_state_oracle(obs, rho)
             got = expectation_squared_state(obs, rho)
             assert got == pytest.approx(float(np.real(via_square)), abs=1e-10)
+
+    @given(data=st.data(), n=st.sampled_from([3, 33, 40, 64, 65, 70]))
+    @settings(max_examples=60, deadline=None)
+    def test_squared_state_matches_oracle_wide(self, data, n):
+        letters = st.text("IXYZ", min_size=n, max_size=n)
+        coeff = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+        # an anticommuting pair, so that Q P carries an odd phase: site j
+        # adds 0 (X, X) or 1 (X, Z) to the symplectic form, whichever makes
+        # it odd; with n > 32, Q straddles words 0 and 1 at qubits 31, 32
+        j = data.draw(st.sampled_from([31, 32] if n > 32 else range(n)))
+        p, q = list(data.draw(letters)), list(data.draw(letters))
+        p[j] = q[j] = "X"
+        if n > 32:
+            q[63 - j] = data.draw(st.sampled_from("XYZ"))
+        if commutes(pauli_from_text("".join(p)), pauli_from_text("".join(q))):
+            q[j] = "Z"
+        p, q = pauli_from_text("".join(p)), pauli_from_text("".join(q))
+        phase, qp = multiply(q, p)
+        assert not phase.is_real
+        rho_texts = {str(p), str(qp)} | set(data.draw(st.lists(letters,
+                                                               max_size=6)))
+        rho_texts.discard("I" * n)
+        rho = PauliSum.from_terms(n, [(1.0, "I" * n)] + [
+            (data.draw(coeff), t) for t in sorted(rho_texts)
+        ])
+        # besides Q and random terms (most match no row), a term that
+        # maps one row of rho onto another, and maybe the identity
+        rows = [s for s, _ in rho.items()]
+        hit = multiply(data.draw(st.sampled_from(rows)),
+                       data.draw(st.sampled_from(rows)))[1]
+        obs_texts = {str(q), str(hit)} | set(data.draw(st.lists(letters,
+                                                                max_size=3)))
+        if data.draw(st.booleans()):
+            obs_texts.add("I" * n)
+        obs = PauliSum.from_terms(n, [
+            (data.draw(coeff), t) for t in sorted(obs_texts)
+        ])
+        want = squared_state_oracle(obs, rho)
+        got = expectation_squared_state(obs, rho)
+        assert abs(want.imag) < 1e-12
+        assert got == pytest.approx(want.real, rel=1e-12, abs=1e-12)
+
+    @given(data=st.data(), n=st.sampled_from([3, 33, 40, 64, 65, 70]))
+    @settings(max_examples=30, deadline=None)
+    def test_squared_state_no_matching_row_is_zero(self, data, n):
+        # every row of rho is I on qubit 0 and every observable term is X
+        # there, so no Q P is a row of rho
+        rest = st.text("IXYZ", min_size=n - 1, max_size=n - 1)
+        rho = PauliSum.from_terms(n, [(1.0, "I" * n)] + [
+            (0.5, "I" + s) for s in data.draw(st.lists(rest, max_size=6))
+            if s != "I" * (n - 1)
+        ])
+        obs = PauliSum.from_terms(n, [
+            (1.0, "X" + s) for s in data.draw(st.lists(rest, min_size=1,
+                                                       max_size=3))
+        ])
+        assert squared_state_oracle(obs, rho) == 0
+        assert expectation_squared_state(obs, rho) == 0.0
+
+    def test_squared_state_width_mismatch(self):
+        z = PauliSum.from_terms(1, [(1.0, "Z")])
+        with pytest.raises(DimensionMismatchError):
+            expectation_squared_state(z, PauliSum.identity(33))
 
     def test_squared_state_dense_oracle(self):
         rng = np.random.default_rng(39)
