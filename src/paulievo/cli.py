@@ -74,6 +74,15 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
+def _whole_number(part: str, value: str) -> int:
+    """``value`` of a truncation part as an int; ``2.5`` is an error, not
+    a silent 2."""
+    number = parse_number(value)
+    if not number.is_integer():
+        raise ConfigError(f"truncation part {part!r} needs a whole number")
+    return int(number)
+
+
 def parse_policy(spec: str):
     """Parse a truncation spec: ``none``, ``threshold=DELTA``,
     ``fixed_k=K``, ``weight=W``, or a comma-separated combination applied
@@ -90,9 +99,9 @@ def parse_policy(spec: str):
         if name == "threshold":
             policies.append(Threshold(parse_number(value)))
         elif name == "fixed_k":
-            policies.append(FixedK(int(parse_number(value))))
+            policies.append(FixedK(_whole_number(part, value)))
         elif name == "weight":
-            policies.append(WeightCutoff(int(parse_number(value))))
+            policies.append(WeightCutoff(_whole_number(part, value)))
         else:
             raise ConfigError(f"unknown truncation kind {name!r}")
     return policies[0] if len(policies) == 1 else policies

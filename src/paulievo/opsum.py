@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -80,8 +81,9 @@ class Threshold:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ValueError("threshold must be >= 0")
+        if not math.isfinite(self.delta) or self.delta < 0:
+            raise ValueError(f"threshold must be finite and >= 0, not "
+                             f"{self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,9 @@ class PauliSum:
                 raise DimensionMismatchError(
                     f"term width {p.n_qubits} != {n_qubits}"
                 )
-            if isinstance(c, complex):
+            # np.iscomplexobj, not isinstance(c, complex): np.complex64 is
+            # not a subclass of complex, and float() would drop its imag
+            if np.iscomplexobj(c):
                 if c.imag != 0:
                     raise TypeError("coefficients of a PauliSum are real")
                 c = c.real

@@ -338,8 +338,24 @@ def rows_out_of_order(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(view[1:] <= view[:-1]) + 1
 
 
+def _word_span(row: np.ndarray) -> slice:
+    """Slice from the first nonzero word of a packed row to one past its
+    last; empty for the identity row."""
+    nonzero = np.flatnonzero(row)
+    if nonzero.size == 0:
+        return slice(0, 0)
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+
+
 def anticommute_mask(keys: np.ndarray, gen_words: np.ndarray) -> np.ndarray:
-    """True where a row anticommutes with the generator ``gen_words``."""
+    """True where a row anticommutes with the generator ``gen_words``.
+
+    Only the generator's nonzero words are read: a word where it is zero
+    adds nothing to the commutation parity.  So a generator inside one word
+    takes the one-word path at any key width.
+    """
+    span = _word_span(gen_words)
+    keys, gen_words = keys[:, span], gen_words[span]
     # |x_P & z_Q| + |z_P & x_Q| counts the set bits of P & Q', where Q' is
     # the generator with the two bits of every pair swapped
     swapped = (((gen_words >> _ONE) & _Z_HALF)
@@ -349,7 +365,7 @@ def anticommute_mask(keys: np.ndarray, gen_words: np.ndarray) -> np.ndarray:
         sym = keys[:, 0] & swapped[0]
     else:
         # the parity of a popcount summed over words is the parity of the
-        # popcount of their XOR
+        # popcount of their XOR; the identity's empty span reduces to 0
         sym = np.bitwise_xor.reduce(keys & swapped, axis=1)
     return (np.bitwise_count(sym) & 1).astype(bool)
 
@@ -358,9 +374,16 @@ def phase_exponent(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``k mod 4`` of ``multiply(left, right)`` row by row.
 
     Either operand may be a single packed row of shape ``(n_words,)``, which
-    broadcasts against the other's ``(m, n_words)`` rows.
+    broadcasts against the other's ``(m, n_words)`` rows.  Then only that
+    row's nonzero words are read: where it is zero, the other operand's Y
+    count ``c`` enters as ``c + 3c = 4c``, which is 0 mod 4.
     """
-    wide = left.shape[-1] > 1
+    single = left if left.ndim == 1 else right if right.ndim == 1 else None
+    if single is not None:
+        span = _word_span(single)
+        left, right = left[..., span], right[..., span]
+    # an empty span (the identity row) takes the summing path: k = 0
+    wide = left.shape[-1] != 1
     if not wide:
         # one-word rows: work on the uint64 column, with no sum over words
         left, right = left[..., 0], right[..., 0]

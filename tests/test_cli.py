@@ -36,6 +36,14 @@ class TestPolicyParsing:
         with pytest.raises(ConfigError):
             parse_policy("magic=1")
 
+    @pytest.mark.parametrize("spec", ["fixed_k=2.5", "weight=2.7",
+                                      "threshold=0.01,fixed_k=inf"])
+    def test_fractional_counts_rejected(self, spec):
+        from paulievo.cli import ConfigError
+        with pytest.raises(ConfigError, match="whole number"):
+            parse_policy(spec)
+        assert parse_policy("fixed_k=2^4") == FixedK(16)
+
 
 class TestRunItpp:
     def test_artifacts_and_initial_record(self, tmp_path):
@@ -51,6 +59,19 @@ class TestRunItpp:
         assert rows[0][3] == "1"   # single identity term
         assert (out / "summary.txt").exists()
         assert (out / "config.ini").exists()
+
+    @pytest.mark.parametrize("spec, named", [
+        ("threshold=nan", "nan"),
+        ("fixed_k=2.5", "fixed_k=2.5"),
+        ("weight=2.7", "weight=2.7"),
+    ])
+    def test_bad_truncation_value_exits_2(self, tmp_path, spec, named):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--truncation", spec, "--out-dir", str(out))
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert not out.exists()
 
     def test_rerun_byte_identical_mod_wall_time(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """PauliSum operations against dense-trace oracles, plus truncation rules."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ class TestConstruction:
     def test_complex_coefficients_rejected(self):
         with pytest.raises(TypeError):
             PauliSum.from_terms(1, [(1j, "Z")])
+
+    @pytest.mark.parametrize("ctype", [np.complex64, np.complex128])
+    def test_numpy_complex_coefficients(self, ctype):
+        # np.complex64 is not a subclass of complex; its imaginary part
+        # must not be dropped with only a ComplexWarning
+        with pytest.raises(TypeError):
+            PauliSum.from_terms(2, [(ctype(1 + 2j), "XZ")])
+        a = PauliSum.from_terms(2, [(ctype(1.5 + 0j), "XZ")])
+        assert a.coefficient("XZ") == 1.5
+        assert a._coeffs.dtype == np.float64
 
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -203,6 +214,11 @@ class TestTruncate:
         )
         out = truncate(a, Threshold(0.01))
         assert set(str(s) for s, _ in out.items()) == {"II", "XI"}
+
+    @pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+    def test_threshold_rejects_negative_and_non_finite(self, delta):
+        with pytest.raises(ValueError):
+            Threshold(delta)
 
     def test_threshold_boundary_not_kept(self):
         a = PauliSum.from_terms(1, [(0.25, "Z"), (1.0, "I")])

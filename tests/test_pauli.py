@@ -17,6 +17,7 @@ from paulievo import (
     weight,
 )
 from paulievo.pauli import (
+    QUBITS_PER_WORD,
     anticommute_mask,
     canonical_argsort,
     find_rows,
@@ -287,6 +288,66 @@ class TestVectorKernels:
             row = pack_strings([s], n)[0]
             assert unpack_string(row, n) == s
             assert words_to_key(key_to_words(s.key, n_words(n))) == s.key
+
+
+def _span_cases():
+    """Generator placements ``(n, sites)`` relative to the 64-bit words."""
+    cases = []
+    for n in (33, 40, 64, 65, 70):
+        last_word = range(QUBITS_PER_WORD * ((n - 1) // QUBITS_PER_WORD), n)
+        cases += [
+            pytest.param(n, (3, 7), id=f"n{n}-one-word"),
+            pytest.param(n, (31, 32), id=f"n{n}-straddling"),
+            pytest.param(n, (last_word[0], last_word[-1]),
+                         id=f"n{n}-last-word"),
+            pytest.param(n, (), id=f"n{n}-identity"),
+        ]
+    # word 1 is zero inside the generator's span
+    cases.append(pytest.param(70, (0, 65), id="n70-gap"))
+    return cases
+
+
+class TestGeneratorWordSpan:
+    """Commutation and phase read only the words where the single-row
+    operand is nonzero; they agree with the scalar algebra wherever that
+    row sits, on contiguous and strided inputs."""
+
+    @staticmethod
+    def check(keys, gen_words, strings, gen):
+        anti = anticommute_mask(keys, gen_words)
+        k4_left = phase_exponent(gen_words, keys)
+        k4_right = phase_exponent(keys, gen_words)
+        assert anti.shape == k4_left.shape == k4_right.shape == (len(strings),)
+        for i, s in enumerate(strings):
+            assert bool(anti[i]) == (not commutes(s, gen))
+            assert int(k4_left[i]) == multiply(gen, s)[0].k
+            assert int(k4_right[i]) == multiply(s, gen)[0].k
+
+    @pytest.mark.parametrize("n, sites", _span_cases())
+    def test_kernels_match_scalar(self, n, sites):
+        rng = np.random.default_rng(1000 * n + sum(sites))
+        letters = ["I"] * n
+        for q in sites:
+            letters[q] = str(rng.choice(list("XYZ")))
+        gen = pauli_from_text("".join(letters))
+        strings = [pauli_from_text(random_pauli_text(rng, n))
+                   for _ in range(60)]
+        strings += [PauliString.identity(n), gen]
+        packed = pack_strings(strings, n)
+        self.check(packed, gen.words(), strings, gen)
+        # the same rows as a column slice of a wider array, and the
+        # generator as a strided row
+        width = n_words(n)
+        wide = np.zeros((len(strings), width + 2), dtype=np.uint64)
+        wide[:, 1:-1] = packed
+        wide_gen = np.zeros(2 * width, dtype=np.uint64)
+        wide_gen[::2] = gen.words()
+        keys, gen_words = wide[:, 1:-1], wide_gen[::2]
+        assert not keys.flags.c_contiguous
+        assert not gen_words.flags.c_contiguous
+        self.check(keys, gen_words, strings, gen)
+        assert anticommute_mask(packed[:0], gen.words()).shape == (0,)
+        assert phase_exponent(gen.words(), packed[:0]).shape == (0,)
 
 
 class TestFindRows:

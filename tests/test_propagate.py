@@ -245,15 +245,23 @@ def gate_rule(g, drop_relative=MERGE_DROP_RELATIVE):
     )
 
 
+# generators across 64-bit words: straddling qubits 31-32, and at qubits 0
+# and 65, with word 1 zero inside the generator's span
+CROSS_WORD_SITES = [(40, (31, 32)), (70, (0, 65))]
+
+
 @st.composite
-def merge_cases(draw):
+def merge_cases(draw, n=None, sites=None):
     """A gate and a state built around it: random terms, some with their
     ``Q P`` partner, and some partners whose coefficient cancels the spawn
-    landing on them exactly or up to a few ulps."""
-    n = draw(st.sampled_from([12, 40]))
+    landing on them exactly or up to a few ulps.  ``n`` and the generator's
+    ``sites`` are drawn unless given."""
+    if n is None:
+        n = draw(st.sampled_from([12, 40, 70]))
     strings = st.text("IXYZ", min_size=n, max_size=n)
-    sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
-                          unique=True))
+    if sites is None:
+        sites = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                              max_size=3, unique=True))
     letters = ["I"] * n
     for q in sites:
         letters[q] = draw(st.sampled_from("XYZ"))
@@ -300,6 +308,17 @@ class TestMergeKernel:
     @given(merge_cases())
     def test_matches_coalesce_oracle(self, case):
         state, g, drop = case
+        if len(state) == 0:
+            return
+        apply, oracle = gate_rule(g, drop)
+        assert_same_rows(apply(state), oracle(state))
+
+    @pytest.mark.parametrize("n, sites", CROSS_WORD_SITES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cross_word_generators_match_coalesce_oracle(self, n, sites,
+                                                          data):
+        state, g, drop = data.draw(merge_cases(n, sites))
         if len(state) == 0:
             return
         apply, oracle = gate_rule(g, drop)
