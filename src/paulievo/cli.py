@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -65,21 +66,35 @@ class ConfigError(ValueError):
 
 
 def parse_number(text: str) -> float:
-    """Parse a float, accepting power notation like ``2^-7`` or ``2**-7``."""
+    """Parse a float, accepting power notation like ``2^-7`` or ``2**-7``.
+
+    A number beyond the float range (``10^400``, ``1e400``) or a power with
+    no real value (``-8^0.5``) is a :class:`ConfigError`; ``inf`` and
+    ``nan`` spelled out pass through for the caller to judge.
+    """
     text = text.strip()
-    for sep in ("**", "^"):
-        if sep in text:
-            base, _, exp = text.partition(sep)
-            return float(base) ** float(exp)
-    return float(text)
+    try:
+        for sep in ("**", "^"):
+            if sep in text:
+                base, _, exp = text.partition(sep)
+                value = float(base) ** float(exp)
+                break
+        else:
+            value = float(text)
+    except OverflowError:
+        raise ConfigError(f"{text!r} is beyond the float range") from None
+    if isinstance(value, complex):
+        raise ConfigError(f"{text!r} is not a real number")
+    if math.isinf(value) and "inf" not in text.lower():
+        raise ConfigError(f"{text!r} is beyond the float range")
+    return value
 
 
-def _whole_number(part: str, value: str) -> int:
-    """``value`` of a truncation part as an int; ``2.5`` is an error, not
-    a silent 2."""
+def _whole_number(what: str, value: str) -> int:
+    """``value`` as an int; ``2.5`` is an error, not a silent 2."""
     number = parse_number(value)
     if not number.is_integer():
-        raise ConfigError(f"truncation part {part!r} needs a whole number")
+        raise ConfigError(f"{what} needs a whole number, not {value!r}")
     return int(number)
 
 
@@ -94,14 +109,15 @@ def parse_policy(spec: str):
     for part in spec.split(","):
         name, _, value = part.partition("=")
         name = name.strip().lower()
+        what = f"truncation part {part!r}"
         if not value:
-            raise ConfigError(f"truncation part {part!r} needs a value")
+            raise ConfigError(f"{what} needs a value")
         if name == "threshold":
             policies.append(Threshold(parse_number(value)))
         elif name == "fixed_k":
-            policies.append(FixedK(_whole_number(part, value)))
+            policies.append(FixedK(_whole_number(what, value)))
         elif name == "weight":
-            policies.append(WeightCutoff(_whole_number(part, value)))
+            policies.append(WeightCutoff(_whole_number(what, value)))
         else:
             raise ConfigError(f"unknown truncation kind {name!r}")
     return policies[0] if len(policies) == 1 else policies
@@ -525,7 +541,7 @@ def cmd_exact(args) -> int:
 
 def cmd_bdg(args) -> int:
     try:
-        n_values = [int(parse_number(v)) for v in args.N.split(",")]
+        n_values = [_whole_number("--N", v) for v in args.N.split(",")]
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -571,10 +587,10 @@ def cmd_sweep(args) -> int:
                 value = parse_number(raw)
                 cfg.truncation = f"threshold={value!r}"
             elif args.axis == "K":
-                value = int(parse_number(raw))
+                value = _whole_number("axis K", raw)
                 cfg.truncation = f"fixed_k={value}"
             elif args.axis == "N":
-                value = int(parse_number(raw))
+                value = _whole_number("axis N", raw)
                 cfg.N = value
             else:
                 value = parse_number(raw)

@@ -14,8 +14,9 @@ Both rules therefore keep a real-coefficient expansion real, and each gate
 at most doubles the term count.  The driver :func:`run_itpp` starts from the
 identity operator (the maximally mixed state up to normalization), applies
 the Trotter gate sequence with trace renormalization after every gate and
-truncation on a split cadence (size/weight budgets per gate, coefficient
-thresholds per step), and records the energy trajectory once per step.
+truncation on a split cadence (size/weight budgets and a provisional
+coefficient cut per gate, the full coefficient threshold per step), and
+records the energy trajectory once per step.
 
 Time bookkeeping: one full sweep of ``exp(-(alpha_j dt / 2) h_j)`` factors
 advances the accumulated imaginary time ``tau`` by ``dt``, and because the
@@ -392,21 +393,23 @@ def relative_error(energy: float, reference: float) -> float:
 StepCallback = Callable[[int, PauliSum, TrajectoryRecord], bool | None]
 
 
-def split_policy_by_cadence(policy: TruncationPolicy,
-                            threshold_cadence: str = "step"):
+def split_policy_by_cadence(policy: TruncationPolicy):
     """Partition a policy into the part enforced after every gate and the
     part enforced once per Trotter step.
 
     Size budgets (:class:`FixedK`) and weight cutoffs run per gate: that is
-    what keeps the intermediate basis within twice the budget.  Coefficient
-    thresholds run once per full step by default: a string typically enters
-    below threshold and clears it only after several generators within the
-    same step have deposited their contributions, so testing it after every
-    gate freezes operator growth long before the benchmark term counts are
-    reached.  ``threshold_cadence="gate"`` restores per-gate testing.
+    what keeps the intermediate basis within twice the budget.  A
+    coefficient threshold ``Threshold(delta, f)`` acts on two levels.  The
+    full ``delta`` runs once per step: a string typically enters below
+    ``delta`` and clears it only after several generators within the same
+    step have deposited their contributions, so testing it at full height
+    after every gate freezes operator growth long before the benchmark
+    term counts are reached.  A provisional ``Threshold(f * delta)`` runs
+    after every gate, in the policy's own order among the per-gate parts;
+    it drops the strings too small to reach ``delta`` within the step
+    before they spawn more.  ``f == 0`` puts the threshold in the step
+    part only, ``f == 1`` in the gate part only.
     """
-    if threshold_cadence not in ("step", "gate"):
-        raise ValueError("threshold_cadence must be 'step' or 'gate'")
     flat: list = []
 
     def collect(p):
@@ -419,10 +422,17 @@ def split_policy_by_cadence(policy: TruncationPolicy,
             flat.append(p)
 
     collect(policy)
-    if threshold_cadence == "gate":
-        return flat or None, None
-    gate_part = [p for p in flat if not isinstance(p, Threshold)]
-    step_part = [p for p in flat if isinstance(p, Threshold)]
+    gate_part, step_part = [], []
+    for p in flat:
+        if not isinstance(p, Threshold) or p.gate_fraction == 1.0:
+            gate_part.append(p)
+        elif p.gate_fraction == 0.0:
+            step_part.append(p)
+        else:
+            gate_part.append(
+                Threshold(p.gate_fraction * p.delta, gate_fraction=1.0)
+            )
+            step_part.append(Threshold(p.delta, gate_fraction=0.0))
     return gate_part or None, step_part or None
 
 
@@ -435,7 +445,6 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
              initial_state: PauliSum | None = None,
              start_step: int = 0,
              step_callback: StepCallback | None = None,
-             threshold_cadence: str = "step",
              drop_relative: float = MERGE_DROP_RELATIVE,
              ) -> tuple[PauliSum, Trajectory]:
     """Imaginary-time propagation of the identity operator.
@@ -444,7 +453,8 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     normalization), every gate of every Trotter step applies the imaginary
     update rule and renormalizes by the trace.  Truncation runs on a split
     cadence (see :func:`split_policy_by_cadence`): size and weight budgets
-    after every gate, coefficient thresholds once per full Trotter step.
+    and the provisional ``gate_fraction * delta`` coefficient cuts after
+    every gate, the full coefficient thresholds once per Trotter step.
     After each step a :class:`TrajectoryRecord` is written with the energy
     ``tr(H rho)``, its relative error when ``reference_energy`` is given,
     the term count, the purity, and the elapsed wall time.  A record at
@@ -461,9 +471,7 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
         raise ValueError("empty Hamiltonian")
     h_sum = hamiltonian.to_sum()
     gates = _step_gates(hamiltonian, schedule)
-    gate_policy, step_policy = split_policy_by_cadence(
-        policy, threshold_cadence
-    )
+    gate_policy, step_policy = split_policy_by_cadence(policy)
     state = initial_state if initial_state is not None else \
         PauliSum.identity(hamiltonian.n_qubits)
     if state.n_qubits != hamiltonian.n_qubits:

@@ -7,7 +7,18 @@ from itertools import product as iterproduct
 
 import numpy as np
 
-from paulievo import PauliString, PauliSum, multiply, pauli_from_text
+from paulievo import (
+    PauliString,
+    PauliSum,
+    ScheduleConfig,
+    apply_imaginary_gate,
+    expectation,
+    multiply,
+    normalize_by_trace,
+    pauli_from_text,
+    trotter_sequence,
+    truncate,
+)
 from paulievo.oracle import pauli_matrix, pauli_sum_matrix
 
 
@@ -100,3 +111,30 @@ def squared_state_oracle(obs: PauliSum, rho: PauliSum) -> complex:
     square = product_terms(rho, rho)
     num = sum(complex(c) * square.get(q, 0j) for q, c in obs.items())
     return num / square[PauliString.identity(rho.n_qubits)]
+
+
+def itpp_loop_oracle(hamiltonian, schedule, gate_policies, step_policies):
+    """The propagation loop written out, with the two truncation levels
+    given explicitly: every gate is followed by each of ``gate_policies``
+    in order and a trace normalization; every step ends with each of
+    ``step_policies`` in order and, when there are any, one more
+    normalization.  Returns the final state and one ``(energy, n_terms)``
+    pair per step, including ``tau = 0``."""
+    h_sum = hamiltonian.to_sum()
+    one_step = ScheduleConfig(schedule.delta_tau, schedule.delta_tau,
+                              schedule.term_ordering)
+    gates = trotter_sequence(hamiltonian, one_step)
+    state = PauliSum.identity(hamiltonian.n_qubits)
+    records = [(expectation(h_sum, state), len(state))]
+    for _ in range(schedule.n_steps):
+        for g in gates:
+            state = apply_imaginary_gate(state, g)
+            for policy in gate_policies:
+                state = truncate(state, policy)
+            state = normalize_by_trace(state)
+        if step_policies:
+            for policy in step_policies:
+                state = truncate(state, policy)
+            state = normalize_by_trace(state)
+        records.append((expectation(h_sum, state), len(state)))
+    return state, records

@@ -27,6 +27,17 @@ class TestPolicyParsing:
         combo = parse_policy("threshold=0.01,fixed_k=10")
         assert combo == [Threshold(0.01), FixedK(10)]
 
+    @pytest.mark.parametrize("text, named", [
+        ("10^400", "float range"),
+        ("2**1e400", "float range"),
+        ("1e400", "float range"),
+        ("-8^0.5", "not a real number"),
+    ])
+    def test_overflow_and_complex_rejected(self, text, named):
+        from paulievo.cli import ConfigError
+        with pytest.raises(ConfigError, match=named):
+            parse_number(text)
+
     def test_round_trip_text(self):
         for spec in ("none", "threshold=0.0078125", "fixed_k=7", "weight=3"):
             assert policy_text(parse_policy(spec)) == spec
@@ -71,6 +82,20 @@ class TestRunItpp:
                       "--truncation", spec, "--out-dir", str(out))
         assert res.returncode == 2
         assert named in res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--truncation", "threshold=10^400"), "float range"),
+        (("--truncation", "threshold=-8^0.5"), "not a real number"),
+        (("--delta-tau", "10^400"), "10^400"),
+    ])
+    def test_unrepresentable_number_exits_2(self, tmp_path, flags, named):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2", *flags,
+                      "--out-dir", str(out))
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
         assert not out.exists()
 
     def test_rerun_byte_identical_mod_wall_time(self, tmp_path):
@@ -282,6 +307,18 @@ class TestBdg:
         res = run_cli("bdg", "--N", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("n, named", [
+        ("1e400", "float range"),
+        ("2.5", "whole number"),
+        ("4,2.5", "whole number"),
+    ])
+    def test_unusable_n_exits_2(self, n, named):
+        res = run_cli("bdg", "--N", n)
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
 
 class TestSweep:
     def test_threshold_axis(self, tmp_path):
@@ -306,6 +343,18 @@ class TestSweep:
         data = [l for l in (out / "sweep.csv").read_text().splitlines()
                 if not l.startswith("#")][1:]
         assert data[0].startswith("1,failed")
+        assert data[1].startswith("3,completed")
+
+    def test_fractional_n_point_fails(self, tmp_path):
+        out = tmp_path / "sweep"
+        res = run_cli("sweep", "--N", "3", "--tau-final", "0.4",
+                      "--axis", "N", "--values", "3.5,3",
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        data = [l for l in (out / "sweep.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert data[0].startswith("3.5,failed")
+        assert "whole number" in data[0]
         assert data[1].startswith("3,completed")
 
     def test_empty_axis_usage_error(self, tmp_path):

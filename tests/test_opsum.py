@@ -215,10 +215,28 @@ class TestTruncate:
         out = truncate(a, Threshold(0.01))
         assert set(str(s) for s, _ in out.items()) == {"II", "XI"}
 
-    @pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
-    def test_threshold_rejects_negative_and_non_finite(self, delta):
+    @pytest.mark.parametrize("delta, gate_fraction", [
+        pytest.param(-0.1, 0.0, id="-0.1"),
+        pytest.param(math.nan, 0.0, id="nan"),
+        pytest.param(math.inf, 0.0, id="inf"),
+        pytest.param(0.01, math.nan, id="gate_fraction=nan"),
+        pytest.param(0.01, math.inf, id="gate_fraction=inf"),
+        pytest.param(0.01, -math.inf, id="gate_fraction=-inf"),
+        pytest.param(0.01, -0.25, id="gate_fraction=-0.25"),
+        pytest.param(0.01, 1.5, id="gate_fraction=1.5"),
+    ])
+    def test_threshold_rejects_negative_and_non_finite(self, delta,
+                                                       gate_fraction):
         with pytest.raises(ValueError):
-            Threshold(delta)
+            Threshold(delta, gate_fraction=gate_fraction)
+
+    @pytest.mark.parametrize("gate_fraction", [0.0, 2 ** -6, 1.0])
+    def test_truncate_ignores_gate_fraction(self, gate_fraction):
+        a = PauliSum.from_terms(
+            2, [(1.0, "II"), (0.5, "XI"), (0.001, "ZZ")]
+        )
+        assert truncate(a, Threshold(0.01, gate_fraction=gate_fraction)) \
+            == truncate(a, Threshold(0.01, gate_fraction=0.0))
 
     def test_threshold_boundary_not_kept(self):
         a = PauliSum.from_terms(1, [(0.25, "Z"), (1.0, "I")])

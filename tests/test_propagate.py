@@ -20,8 +20,10 @@ from paulievo import (
     TfimParams,
     Threshold,
     TraceCollapseError,
+    WeightCutoff,
     apply_imaginary_gate,
     apply_real_gate,
+    bdg_ground_energy,
     build_tfim,
     dense_trotter_ite,
     expectation,
@@ -41,10 +43,12 @@ from paulievo.oracle import (
     real_conjugation_matrix,
 )
 from paulievo.pauli import commutes, key_to_words, multiply, unpack_string
+from paulievo.propagate import split_policy_by_cadence
 
 from helpers import (
     all_pauli_texts,
     dense,
+    itpp_loop_oracle,
     random_pauli_sum,
     random_pauli_text,
     squared_state_oracle,
@@ -523,20 +527,19 @@ class TestRunItpp:
     def test_trace_collapse_annotated_per_gate(self):
         h = build_tfim(TfimParams(N=2, J=1.0, h=0.5))
         with pytest.raises(TraceCollapseError) as err:
-            run_itpp(h, ScheduleConfig(0.04, 1.0), Threshold(10.0),
-                     threshold_cadence="gate")
+            run_itpp(h, ScheduleConfig(0.04, 1.0),
+                     Threshold(10.0, gate_fraction=1))
         assert err.value.step_index == 1
         assert err.value.gate_index == 1
 
-    def test_threshold_cadence_gate_freezes_growth(self):
-        # per-gate thresholding tests each new string before sibling gates
-        # can add their contributions, so the retained basis stays far
-        # smaller at the same delta
+    def test_gate_fraction_one_freezes_growth(self):
+        # full-height per-gate thresholding tests each new string before
+        # sibling gates can add their contributions, so the retained basis
+        # stays far smaller at the same delta
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
         sched = ScheduleConfig(0.04, 6.0)
         _, per_step = run_itpp(h, sched, Threshold(2 ** -7))
-        _, per_gate = run_itpp(h, sched, Threshold(2 ** -7),
-                               threshold_cadence="gate")
+        _, per_gate = run_itpp(h, sched, Threshold(2 ** -7, gate_fraction=1))
         assert per_step.final.n_terms > 1.5 * per_gate.final.n_terms
 
     def test_deterministic_rerun_bit_identical(self):
@@ -611,6 +614,122 @@ class TestRunItpp:
             t_small.energies(), t_wide.energies(), rtol=0, atol=1e-12
         )
         assert [r.n_terms for r in t_small] == [r.n_terms for r in t_wide]
+
+
+def assert_matches_loop_oracle(h, sched, policy, gate_policies,
+                               step_policies):
+    state, traj = run_itpp(h, sched, policy)
+    ref_state, ref_records = itpp_loop_oracle(h, sched, gate_policies,
+                                              step_policies)
+    assert np.array_equal(state._keys, ref_state._keys)
+    assert np.array_equal(state._coeffs, ref_state._coeffs)
+    assert np.array_equal(state._indices, ref_state._indices)
+    assert [(r.energy, r.n_terms) for r in traj] == ref_records
+
+
+class TestTwoLevelThreshold:
+    """``Threshold(delta, gate_fraction=f)``: a provisional ``f * delta``
+    cut after every gate and the full ``delta`` at step end."""
+
+    DELTAS = (2 ** -6, 2 ** -7, 2 ** -8)
+
+    def test_split_places_each_level(self):
+        fixed, weight = FixedK(8), WeightCutoff(3)
+        assert split_policy_by_cadence(None) == (None, None)
+        assert split_policy_by_cadence(Threshold(0.5, gate_fraction=0)) \
+            == (None, [Threshold(0.5, gate_fraction=0)])
+        assert split_policy_by_cadence(Threshold(0.5, gate_fraction=1)) \
+            == ([Threshold(0.5, gate_fraction=1)], None)
+        assert split_policy_by_cadence(
+            [fixed, Threshold(0.5, gate_fraction=0.25), weight]
+        ) == (
+            [fixed, Threshold(0.125, gate_fraction=1), weight],
+            [Threshold(0.5, gate_fraction=0)],
+        )
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_step_only_matches_loop_oracle(self, n, delta):
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2),
+            Threshold(delta, gate_fraction=0), [], [Threshold(delta)],
+        )
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_gate_only_matches_loop_oracle(self, n, delta):
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2),
+            Threshold(delta, gate_fraction=1), [Threshold(delta)], [],
+        )
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_two_level_matches_loop_oracle(self, n, delta):
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.04, 1.2)
+        f = 2 ** -3
+        assert_matches_loop_oracle(
+            h, sched, Threshold(delta, gate_fraction=f),
+            [Threshold(f * delta)], [Threshold(delta)],
+        )
+        # the provisional cut bites: the step-only run keeps other terms
+        two_level, _ = run_itpp(h, sched, Threshold(delta, gate_fraction=f))
+        step_only, _ = run_itpp(h, sched, Threshold(delta, gate_fraction=0))
+        assert two_level != step_only
+
+    @pytest.mark.parametrize("order", ["weight_first", "fixed_k_first"])
+    def test_gate_part_keeps_policy_order(self, order):
+        # a weight cutoff and a size budget do not commute, so running the
+        # gate part out of order changes the state
+        h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.04, 1.2)
+        delta, f = 2 ** -8, 2 ** -3
+        first, last = FixedK(24), WeightCutoff(2)
+        if order == "weight_first":
+            first, last = last, first
+        assert_matches_loop_oracle(
+            h, sched, [first, Threshold(delta, gate_fraction=f), last],
+            [first, Threshold(f * delta), last], [Threshold(delta)],
+        )
+        swapped, _ = itpp_loop_oracle(
+            h, sched, [last, Threshold(f * delta), first], [Threshold(delta)]
+        )
+        state, _ = run_itpp(h, sched,
+                            [first, Threshold(delta, gate_fraction=f), last])
+        assert state != swapped
+
+    @pytest.mark.parametrize("delta", [2 ** -6, 2 ** -8])
+    def test_threshold_before_fixed_k_matches_loop_oracle(self, delta):
+        h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
+        f = 2 ** -3
+        policy = [Threshold(delta, gate_fraction=f), FixedK(40)]
+        assert split_policy_by_cadence(policy) == (
+            [Threshold(f * delta, gate_fraction=1), FixedK(40)],
+            [Threshold(delta, gate_fraction=0)],
+        )
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2), policy,
+            [Threshold(f * delta), FixedK(40)], [Threshold(delta)],
+        )
+
+    @pytest.mark.parametrize("delta", [2 ** -10, 2 ** -6])
+    def test_default_gate_fraction_keeps_accuracy(self, delta):
+        params = TfimParams(N=8, J=1.0, h=0.5)
+        h = build_tfim(params)
+        e0 = bdg_ground_energy(params)
+        sched = ScheduleConfig(0.04, 4.0)
+        _, step_only = run_itpp(h, sched, Threshold(delta, gate_fraction=0),
+                                reference_energy=e0)
+        _, default = run_itpp(h, sched, Threshold(delta),
+                              reference_energy=e0)
+        err = abs(step_only.final.energy - e0)
+        assert abs(default.final.energy - step_only.final.energy) \
+            < 0.01 * err
+        assert abs(default.final.n_terms - step_only.final.n_terms) \
+            < 0.01 * step_only.final.n_terms
 
 
 class TestEstimators:
