@@ -6,11 +6,14 @@ point of an axis), ``resume`` (continue from a checkpoint).
 
 Configuration is a flat INI file (sections ``model`` / ``schedule`` /
 ``truncation`` / ``output`` / ``run``); every key can be overridden by the
-command-line flag of the same name.  All trajectory CSVs carry a versioned
-schema header and state the time convention: the tau column is the
-accumulated imaginary time, equal to the inverse temperature of the
-approximated thermal state.  Pipelines are deterministic; rerunning a
-command reproduces its CSV byte for byte apart from the wall-time column.
+command-line flag of the same name; :func:`_coerce` reads flag and file
+text by the same rules.  An input error ends a command with exit status 2
+and the reason on stderr (a sweep records a failing point and goes on).
+All trajectory CSVs carry a versioned schema header and state the time
+convention: the tau column is the accumulated imaginary time, equal to the
+inverse temperature of the approximated thermal state.  Pipelines are
+deterministic; rerunning a command reproduces its CSV byte for byte apart
+from the wall-time column.
 """
 
 from __future__ import annotations
@@ -90,11 +93,21 @@ def parse_number(text: str) -> float:
     return value
 
 
+def _number(what: str, value: str) -> float:
+    """:func:`parse_number`, naming ``what`` when ``value`` is unusable."""
+    try:
+        return parse_number(value)
+    except ValueError as err:
+        raise ConfigError(f"{what}: {err}") from None
+
+
 def _whole_number(what: str, value: str) -> int:
-    """``value`` as an int; ``2.5`` is an error, not a silent 2."""
-    number = parse_number(value)
-    if not number.is_integer():
-        raise ConfigError(f"{what} needs a whole number, not {value!r}")
+    """``value`` as a count; ``2.5`` and ``-3`` are errors, not 2 and -3."""
+    number = _number(what, value)
+    if not number.is_integer() or number < 0:
+        raise ConfigError(
+            f"{what} needs a non-negative whole number, not {value!r}"
+        )
     return int(number)
 
 
@@ -113,7 +126,7 @@ def parse_policy(spec: str):
         if not value:
             raise ConfigError(f"{what} needs a value")
         if name == "threshold":
-            policies.append(Threshold(parse_number(value)))
+            policies.append(Threshold(_number(what, value)))
         elif name == "fixed_k":
             policies.append(FixedK(_whole_number(what, value)))
         elif name == "weight":
@@ -185,16 +198,6 @@ class RunConfig:
         return out
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        return value.strip().lower() in ("1", "true", "yes", "on")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return parse_number(value)
-    return value
-
-
 def load_config_file(path: str) -> dict:
     """Read the INI config into a flat ``{field: string}`` dict."""
     parser = configparser.ConfigParser()
@@ -216,24 +219,44 @@ def load_config_file(path: str) -> dict:
 
 
 _FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key: str, text: str):
+    """The one rule turning flag or config-file text into a field value."""
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        value = _BOOLEANS.get(text.strip().lower())
+        if value is None:
+            raise ConfigError(
+                f"{key} needs one of {'/'.join(_BOOLEANS)}, not {text!r}"
+            )
+        return value
+    if kind is int:
+        return _whole_number(key, text)
+    if kind is float:
+        return _number(key, text)
+    return text
+
+
+def _config_from_texts(texts: dict) -> RunConfig:
+    return RunConfig(**{k: _coerce(k, text) for k, text in texts.items()})
 
 
 def read_config_echo(path: str) -> RunConfig:
-    cfg = RunConfig()
-    for key, raw in load_config_file(path).items():
-        cfg = replace(cfg, **{key: _coerce(raw, _FIELD_TYPES[key])})
-    return cfg
+    return _config_from_texts(load_config_file(path))
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit CLI flags."""
     config = getattr(args, "config", None)
-    cfg = read_config_echo(config) if config else RunConfig()
+    texts = load_config_file(config) if config else {}
     for key in _FIELD_TYPES:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg = replace(cfg, **{key: val})
-    return cfg
+        text = getattr(args, key, None)
+        if text is not None:
+            texts[key] = text
+    return _config_from_texts(texts)
 
 
 def write_config_echo(cfg: RunConfig, path: str) -> None:
@@ -310,12 +333,6 @@ def write_summary(path: str, entries: dict) -> None:
             f.write(f"{key} = {_fmt(value)}\n")
 
 
-def _atomic_checkpoint(state: PauliSum, path: str, extras: dict) -> None:
-    tmp = path + ".tmp"
-    save_pauli_sum(state, tmp, extras)
-    os.replace(tmp, path)
-
-
 def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
     """Execute one propagation run and write its artifacts.
 
@@ -339,24 +356,23 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
     if resume_from is not None:
         initial_state, start_step, kept_rows = resume_from
 
-    stopped = {"flag": False}
-    max_terms = {"value": 1 if initial_state is None else len(initial_state)}
+    max_terms = 1 if initial_state is None else len(initial_state)
     for row in kept_rows:
         cells = row.split(",")
         if len(cells) > 3 and cells[3]:
-            max_terms["value"] = max(max_terms["value"], int(cells[3]))
+            max_terms = max(max_terms, int(cells[3]))
+
+    stopped = False
 
     def callback(step, state, record):
-        max_terms["value"] = max(max_terms["value"], record.n_terms)
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-            _atomic_checkpoint(state, ckpt_path,
-                               {"step": step, "tau": repr(record.tau)})
-        if cfg.stop_after_step and step >= cfg.stop_after_step:
-            _atomic_checkpoint(state, ckpt_path,
-                               {"step": step, "tau": repr(record.tau)})
-            stopped["flag"] = True
-            return True
-        return False
+        nonlocal stopped
+        stopped = 0 < cfg.stop_after_step <= step
+        if stopped or (cfg.checkpoint_every
+                       and step % cfg.checkpoint_every == 0):
+            tmp = ckpt_path + ".tmp"  # renamed whole, never left half written
+            save_pauli_sum(state, tmp, {"step": step, "tau": repr(record.tau)})
+            os.replace(tmp, ckpt_path)
+        return stopped
 
     status = "completed"
     error_text = ""
@@ -375,7 +391,7 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
         error_text = str(err)
         state = None
         trajectory = err.trajectory if err.trajectory is not None else Trajectory()
-    if stopped["flag"]:
+    if stopped:
         status = "interrupted"
 
     header = trajectory_header(cfg, reference, ref_source,
@@ -387,7 +403,7 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
             f.write(row + "\n")
         for record in trajectory:
             f.write(record_row(record) + "\n")
-            max_terms["value"] = max(max_terms["value"], record.n_terms)
+            max_terms = max(max_terms, record.n_terms)
 
     summary = {
         "status": status,
@@ -407,7 +423,7 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
             "final_rel_error": final.relative_error,
             "final_n_terms": final.n_terms,
             "final_purity": final.purity,
-            "max_n_terms": max_terms["value"],
+            "max_n_terms": max_terms,
             "total_wall_time_s": final.wall_time_s,
         })
     if error_text:
@@ -422,12 +438,7 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
 
 
 def cmd_run_itpp(args) -> int:
-    try:
-        cfg = build_run_config(args)
-        summary = run_single(cfg)
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    summary = run_single(build_run_config(args))
     print(f"status = {summary['status']}")
     if "final_energy" in summary:
         print(f"final_energy = {_fmt(summary['final_energy'])}")
@@ -443,64 +454,57 @@ def cmd_resume(args) -> int:
     config_path = os.path.join(run_dir, "config.ini")
     ckpt_path = os.path.join(run_dir, "checkpoint.psum")
     traj_path = os.path.join(run_dir, "trajectory.csv")
-    try:
-        if not os.path.exists(ckpt_path):
-            raise ConfigError(f"no checkpoint in {run_dir}")
-        cfg = read_config_echo(config_path)
-        if args.stop_after_step is not None:
-            cfg.stop_after_step = args.stop_after_step
-        else:
-            cfg.stop_after_step = 0
-        state, extras = load_pauli_sum(ckpt_path)
-        step = int(extras["step"])
-        # checked before run_single rewrites anything in the run directory
-        n_qubits = cfg.hamiltonian().n_qubits
-        if state.n_qubits != n_qubits:
-            raise ConfigError(
-                f"checkpoint has {state.n_qubits} qubits but the model in "
-                f"{config_path} has {n_qubits}"
-            )
-        # the same expression run_itpp records at the end of a step
-        expected_tau = repr(step * cfg.delta_tau)
-        if extras.get("tau") != expected_tau:
-            raise ConfigError(
-                f"checkpoint tau {extras.get('tau')} at step {step} does not "
-                f"match delta_tau = {cfg.delta_tau!r} in {config_path} "
-                f"(expected {expected_tau})"
-            )
-        kept_rows = []
-        if os.path.exists(traj_path):
-            with open(traj_path) as f:
-                for line in f:
-                    line = line.rstrip("\n")
-                    if line.startswith("#") or line.startswith("tau,"):
-                        continue
-                    kept_rows.append(line)
-        # rows: tau=0 plus one per completed step (per-gate rows scale the
-        # same way); keep only rows up to the checkpointed step
-        per_step = 1
-        if cfg.record_per_gate:
-            per_step = len(cfg.hamiltonian().gated_terms())
-        kept_rows = kept_rows[:1 + step * per_step]
-        summary = run_single(cfg, resume_from=(state, step, kept_rows))
-    except (ConfigError, ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    if not os.path.exists(ckpt_path):
+        raise ConfigError(f"no checkpoint in {run_dir}")
+    texts = load_config_file(config_path)
+    texts["stop_after_step"] = args.stop_after_step
+    cfg = _config_from_texts(texts)
+    state, extras = load_pauli_sum(ckpt_path)
+    if "step" not in extras:
+        raise ConfigError(f"checkpoint {ckpt_path} has no 'step = ' header")
+    step = _whole_number("checkpoint header step", extras["step"])
+    # checked before run_single rewrites anything in the run directory
+    hamiltonian = cfg.hamiltonian()
+    if state.n_qubits != hamiltonian.n_qubits:
+        raise ConfigError(
+            f"checkpoint has {state.n_qubits} qubits but the model in "
+            f"{config_path} has {hamiltonian.n_qubits}"
+        )
+    # the same expression run_itpp records at the end of a step
+    expected_tau = repr(step * cfg.delta_tau)
+    if extras.get("tau") != expected_tau:
+        raise ConfigError(
+            f"checkpoint tau {extras.get('tau')} at step {step} does not "
+            f"match delta_tau = {cfg.delta_tau!r} in {config_path} "
+            f"(expected {expected_tau})"
+        )
+    kept_rows = []
+    if os.path.exists(traj_path):
+        with open(traj_path) as f:
+            kept_rows = [line.rstrip("\n") for line in f
+                         if not line.startswith(("#", "tau,"))]
+    # rows: tau=0 plus one per completed step (per-gate rows scale the
+    # same way); keep only rows up to the checkpointed step
+    per_step = 1
+    if cfg.record_per_gate:
+        per_step = len(hamiltonian.gated_terms())
+    kept_rows = kept_rows[:1 + step * per_step]
+    summary = run_single(cfg, resume_from=(state, step, kept_rows))
     print(f"status = {summary['status']}")
     return 0 if summary["status"] != "trace-collapse" else 1
 
 
 def cmd_exact(args) -> int:
+    cfg = build_run_config(args)
+    hamiltonian = cfg.hamiltonian()
+    schedule = cfg.schedule()
+    reference, ref_source = reference_for(cfg, hamiltonian)
+    obs = cfg.observable_sums(hamiltonian.n_qubits)
+    observables = [hamiltonian.to_sum()] + [s for _, s in obs]
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    taus = [k * cfg.delta_tau for k in range(schedule.n_steps + 1)]
+    curves = []
     try:
-        cfg = build_run_config(args)
-        hamiltonian = cfg.hamiltonian()
-        schedule = cfg.schedule()
-        reference, ref_source = reference_for(cfg, hamiltonian)
-        obs = cfg.observable_sums(hamiltonian.n_qubits)
-        observables = [hamiltonian.to_sum()] + [s for _, s in obs]
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        taus = [k * cfg.delta_tau for k in range(schedule.n_steps + 1)]
-        curves = []
         if args.method in ("exact", "both"):
             curves.append(("exact_ite.csv", dense_exact_ite(
                 hamiltonian, taus, observables, max_qubits=cfg.dense_guard)))
@@ -511,9 +515,6 @@ def cmd_exact(args) -> int:
     except SizeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     header = trajectory_header(cfg, reference, ref_source,
                                [label for label, _ in obs])
     for filename, curve in curves:
@@ -540,20 +541,13 @@ def cmd_exact(args) -> int:
 
 
 def cmd_bdg(args) -> int:
-    try:
-        n_values = [_whole_number("--N", v) for v in args.N.split(",")]
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    n_values = [_whole_number("--N", v) for v in args.N.split(",")]
+    J, h = _number("--J", args.J), _number("--h", args.h)
     rows = []
     for n in n_values:
-        try:
-            e0 = bdg_ground_energy(TfimParams(N=n, J=args.J, h=args.h))
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        rows.append((n, args.J, args.h, e0))
-        print(f"E0(N={n}, J={_fmt(args.J)}, h={_fmt(args.h)}) = {_fmt(e0)}")
+        e0 = bdg_ground_energy(TfimParams(N=n, J=J, h=h))
+        rows.append((n, J, h, e0))
+        print(f"E0(N={n}, J={_fmt(J)}, h={_fmt(h)}) = {_fmt(e0)}")
     if args.csv:
         with open(args.csv, "w") as f:
             f.write("N,J,h,E0\n")
@@ -567,34 +561,22 @@ SWEEP_AXES = ("threshold", "N", "K", "delta_tau")
 
 
 def cmd_sweep(args) -> int:
-    try:
-        base = build_run_config(args)
-        if args.axis not in SWEEP_AXES:
-            raise ConfigError(f"axis must be one of {SWEEP_AXES}")
-        values = [v for v in (s.strip() for s in args.values.split(","))
-                  if v]
-        if not values:
-            raise ConfigError("empty sweep axis")
-    except (ConfigError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+    base = build_run_config(args)
+    values = [v for v in (s.strip() for s in args.values.split(",")) if v]
+    if not values:
+        raise ConfigError("empty sweep axis")
     os.makedirs(base.out_dir, exist_ok=True)
     results = []
     for raw in values:
         cfg = replace(base)
         try:
             if args.axis == "threshold":
-                value = parse_number(raw)
-                cfg.truncation = f"threshold={value!r}"
+                delta = _number("axis threshold", raw)
+                cfg.truncation = f"threshold={delta!r}"
             elif args.axis == "K":
-                value = _whole_number("axis K", raw)
-                cfg.truncation = f"fixed_k={value}"
-            elif args.axis == "N":
-                value = _whole_number("axis N", raw)
-                cfg.N = value
-            else:
-                value = parse_number(raw)
-                cfg.delta_tau = value
+                cfg.truncation = f"fixed_k={_whole_number('axis K', raw)}"
+            else:  # N and delta_tau are RunConfig fields of the same name
+                setattr(cfg, args.axis, _coerce(args.axis, raw))
             cfg.out_dir = os.path.join(
                 base.out_dir, "points", f"{args.axis}={raw}"
             )
@@ -635,16 +617,15 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="INI config file")
     p.add_argument("--kind", choices=("tfim", "terms"),
                    help="model kind (default tfim)")
-    p.add_argument("--N", type=int, help="TFIM chain length")
-    p.add_argument("--J", type=float, help="TFIM coupling")
-    p.add_argument("--h", type=float, help="TFIM transverse field")
+    p.add_argument("--N", help="TFIM chain length")
+    p.add_argument("--J", help="TFIM coupling")
+    p.add_argument("--h", help="TFIM transverse field")
     p.add_argument("--terms-file", dest="terms_file",
                    help="plain-text Hamiltonian term file")
-    p.add_argument("--delta-tau", dest="delta_tau", type=parse_number,
-                   help="Trotter step size")
-    p.add_argument("--tau-final", dest="tau_final", type=parse_number,
+    p.add_argument("--delta-tau", dest="delta_tau", help="Trotter step size")
+    p.add_argument("--tau-final", dest="tau_final",
                    help="final imaginary time")
-    p.add_argument("--dense-guard", dest="dense_guard", type=int,
+    p.add_argument("--dense-guard", dest="dense_guard",
                    help="dense-oracle qubit ceiling (default 14)")
     p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
 
@@ -655,12 +636,12 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
                         "comma-combinable (powers like 2^-7 accepted)")
     p.add_argument("--observables",
                    help="comma-separated Pauli strings for extra columns")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every", type=int,
+    p.add_argument("--checkpoint-every", dest="checkpoint_every",
                    help="checkpoint every S Trotter steps (0 = off)")
     p.add_argument("--record-per-gate", dest="record_per_gate",
-                   action="store_const", const=True,
+                   action="store_const", const="true",
                    help="record a trajectory row after every gate")
-    p.add_argument("--stop-after-step", dest="stop_after_step", type=int,
+    p.add_argument("--stop-after-step", dest="stop_after_step",
                    help="checkpoint and exit after S steps")
 
 
@@ -685,8 +666,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_bdg = sub.add_parser("bdg", help="free-fermion TFIM ground energy")
     p_bdg.add_argument("--N", required=True,
                        help="chain length, or comma list of lengths")
-    p_bdg.add_argument("--J", type=parse_number, default=1.0)
-    p_bdg.add_argument("--h", type=parse_number, default=0.5)
+    p_bdg.add_argument("--J", default="1.0")
+    p_bdg.add_argument("--h", default="0.5")
     p_bdg.add_argument("--csv", help="also write (N,J,h,E0) rows here")
     p_bdg.set_defaults(func=cmd_bdg)
 
@@ -700,8 +681,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("resume", help="continue from a checkpoint")
     p_res.add_argument("run_dir")
-    p_res.add_argument("--stop-after-step", dest="stop_after_step", type=int,
-                       default=None)
+    p_res.add_argument("--stop-after-step", dest="stop_after_step",
+                       default="0")
     p_res.set_defaults(func=cmd_resume)
 
     return parser
@@ -709,7 +690,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # ConfigError and every other input error
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -289,10 +289,10 @@ def take_rows(keys: np.ndarray, where: np.ndarray) -> np.ndarray:
     return row_view(keys)[where].view(np.uint64).reshape(-1, keys.shape[1])
 
 
-def canonical_argsort(keys: np.ndarray, kind: str = "stable") -> np.ndarray:
+def canonical_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of packed rows in canonical (integer) order."""
     if keys.shape[1] == 1:
-        return np.argsort(keys[:, 0], kind=kind)
+        return np.argsort(keys[:, 0], kind="stable")
     # lexsort beats sorting the byte-string view here: wide keys end in zero
     # bytes, which slow the string comparisons down
     return np.lexsort(tuple(keys[:, w] for w in reversed(range(keys.shape[1]))))

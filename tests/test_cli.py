@@ -2,11 +2,24 @@
 
 import math
 import re
+from dataclasses import fields
 
 import pytest
 
 from paulievo import FixedK, TfimParams, Threshold, WeightCutoff, bdg_ground_energy
-from paulievo.cli import parse_number, parse_policy, policy_text
+from paulievo import cli
+from paulievo.cli import (
+    CONFIG_SECTIONS,
+    ConfigError,
+    RunConfig,
+    _coerce,
+    make_parser,
+    parse_number,
+    parse_policy,
+    policy_text,
+    read_config_echo,
+    write_config_echo,
+)
 
 from helpers import read_rows, run_cli
 
@@ -48,12 +61,74 @@ class TestPolicyParsing:
             parse_policy("magic=1")
 
     @pytest.mark.parametrize("spec", ["fixed_k=2.5", "weight=2.7",
-                                      "threshold=0.01,fixed_k=inf"])
+                                      "threshold=0.01,fixed_k=inf",
+                                      "fixed_k=-2", "weight=-1"])
     def test_fractional_counts_rejected(self, spec):
         from paulievo.cli import ConfigError
         with pytest.raises(ConfigError, match="whole number"):
             parse_policy(spec)
         assert parse_policy("fixed_k=2^4") == FixedK(16)
+
+
+class TestConfigSchema:
+    FULL = RunConfig(kind="terms", N=7, J=0.3, h=2 ** -7,
+                     terms_file="model.txt", delta_tau=0.01, tau_final=1.5,
+                     truncation="threshold=0.01,fixed_k=9",
+                     observables="ZZ,X", out_dir="runs/x",
+                     checkpoint_every=3, record_per_gate=True,
+                     stop_after_step=5, dense_guard=9)
+
+    def test_sections_name_every_field_once(self):
+        keys = [key for section in CONFIG_SECTIONS.values() for key in section]
+        assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+        assert len(keys) == len(set(keys))
+
+    def test_every_field_has_a_run_itpp_flag(self):
+        args = make_parser().parse_args(["run-itpp"])
+        assert {f.name for f in fields(RunConfig)} <= set(vars(args))
+
+    def test_flags_reach_coerce_as_text(self):
+        argv = ["run-itpp"]
+        names = [f.name for f in fields(RunConfig)
+                 if f.name not in ("kind", "record_per_gate")]
+        for name in names:
+            argv += ["--" + name.replace("_", "-"), "2^2"]
+        args = make_parser().parse_args(argv)
+        assert {name: getattr(args, name) for name in names} == \
+            dict.fromkeys(names, "2^2")
+
+    @pytest.mark.parametrize("cfg", [RunConfig(), FULL],
+                             ids=["default", "every-field"])
+    def test_echo_round_trip(self, tmp_path, cfg):
+        path = tmp_path / "config.ini"
+        write_config_echo(cfg, str(path))
+        assert read_config_echo(str(path)) == cfg
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("true", True), ("YES", True), (" On ", True),
+        ("0", False), ("False", False), ("no", False), ("OFF", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        assert _coerce("record_per_gate", text) is value
+
+    @pytest.mark.parametrize("text", ["maybe", "", "2", "y"])
+    def test_other_booleans_rejected(self, text):
+        with pytest.raises(ConfigError, match="record_per_gate"):
+            _coerce("record_per_gate", text)
+
+    @pytest.mark.parametrize("key, text, value", [
+        ("N", "2^2", 4), ("dense_guard", "1e1", 10), ("J", "2^-1", 0.5),
+        ("tau_final", "2**3", 8.0), ("out_dir", " x ", " x "),
+    ])
+    def test_numbers_share_one_rule(self, key, text, value):
+        assert _coerce(key, text) == value
+
+    @pytest.mark.parametrize("key", ["N", "checkpoint_every",
+                                     "stop_after_step", "dense_guard"])
+    def test_counts_whole_and_non_negative(self, key):
+        for text in ("-1", "2.5", "inf"):
+            with pytest.raises(ConfigError, match="non-negative whole"):
+                _coerce(key, text)
 
 
 class TestRunItpp:
@@ -75,6 +150,7 @@ class TestRunItpp:
         ("threshold=nan", "nan"),
         ("fixed_k=2.5", "fixed_k=2.5"),
         ("weight=2.7", "weight=2.7"),
+        ("fixed_k=-2", "non-negative whole number"),
     ])
     def test_bad_truncation_value_exits_2(self, tmp_path, spec, named):
         out = tmp_path / "run"
@@ -88,6 +164,8 @@ class TestRunItpp:
         (("--truncation", "threshold=10^400"), "float range"),
         (("--truncation", "threshold=-8^0.5"), "not a real number"),
         (("--delta-tau", "10^400"), "10^400"),
+        (("--delta-tau", "10^400"), "float range"),
+        (("--J", "10^400"), "float range"),
     ])
     def test_unrepresentable_number_exits_2(self, tmp_path, flags, named):
         out = tmp_path / "run"
@@ -97,6 +175,31 @@ class TestRunItpp:
         assert named in res.stderr
         assert "Traceback" not in res.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--stop-after-step", "-1"), "stop_after_step"),
+        (("--checkpoint-every", "-3"), "checkpoint_every"),
+        (("--dense-guard", "-1"), "dense_guard"),
+    ])
+    def test_negative_count_exits_2(self, tmp_path, flags, named):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2", *flags,
+                      "--out-dir", str(out))
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "non-negative whole number" in res.stderr
+        assert not out.exists()
+
+    def test_power_notation_flag_matches_decimal(self, tmp_path):
+        a, b = tmp_path / "power", tmp_path / "decimal"
+        for out, j in ((a, "2^-1"), (b, "0.5")):
+            res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                          "--J", j, "--out-dir", str(out))
+            assert res.returncode == 0, res.stderr
+        assert read_rows(a / "trajectory.csv") == \
+            read_rows(b / "trajectory.csv")
+        assert (a / "config.ini").read_text() == \
+            (b / "config.ini").read_text().replace(str(b), str(a))
 
     def test_rerun_byte_identical_mod_wall_time(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -139,6 +242,25 @@ class TestRunItpp:
         assert res.returncode == 0, res.stderr
         summary = (out / "summary.txt").read_text()
         assert "model = tfim N=4" in summary
+
+    def test_config_power_notation_count(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[model]\nN = 2^2\n[schedule]\ntau_final = 0.2\n")
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        assert "model = tfim N=4 " in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("text", ["maybe", "2"])
+    def test_config_boolean_validated(self, tmp_path, text):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[run]\nrecord_per_gate = {text}\n")
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--config", str(cfg), "--N", "3",
+                      "--tau-final", "0.2", "--out-dir", str(out))
+        assert res.returncode == 2
+        assert "record_per_gate" in res.stderr
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.ini"
@@ -232,6 +354,48 @@ class TestResume:
         assert f"n_terms = {n_terms}" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_missing_step_header_named(self, tmp_path):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        ckpt = out / "checkpoint.psum"
+        text = ckpt.read_text()
+        assert "\nstep = 5\n" in text
+        ckpt.write_text(text.replace("\nstep = 5\n", "\n"))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert "no 'step = ' header" in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_negative_stop_exits_2(self, tmp_path):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out), "--stop-after-step", "-1")
+        assert res.returncode == 2
+        assert "stop_after_step" in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_checkpoint_written_once_per_step(self, tmp_path, monkeypatch):
+        steps = []
+        save = cli.save_pauli_sum
+
+        def counting_save(state, path, extras):
+            steps.append(extras["step"])
+            save(state, path, extras)
+
+        monkeypatch.setattr(cli, "save_pauli_sum", counting_save)
+        out = tmp_path / "ckpt"
+        assert cli.main(["run-itpp", "--N", "3", "--tau-final", "0.4",
+                         "--checkpoint-every", "2", "--stop-after-step", "4",
+                         "--out-dir", str(out)]) == 0
+        assert steps == [2, 4]
+        assert "status = interrupted" in (out / "summary.txt").read_text()
+
     def test_periodic_checkpoints_written(self, tmp_path):
         out = tmp_path / "ckpt"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
@@ -320,6 +484,19 @@ class TestBdg:
         assert res.stdout == ""
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--J", "10^400"), "float range"),
+        (("--h=-8^0.5",), "not a real number"),
+        (("--N", "-3"), "non-negative whole number"),
+    ])
+    def test_unusable_flag_exits_2(self, flags, named):
+        res = run_cli("bdg", "--N", "4", *flags)
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
 class TestSweep:
     def test_threshold_axis(self, tmp_path):
         out = tmp_path / "sweep"
@@ -355,6 +532,19 @@ class TestSweep:
                 if not l.startswith("#")][1:]
         assert data[0].startswith("3.5,failed")
         assert "whole number" in data[0]
+        assert data[1].startswith("3,completed")
+
+    @pytest.mark.parametrize("axis", ["N", "K"])
+    def test_negative_count_point_fails(self, tmp_path, axis):
+        out = tmp_path / "sweep"
+        res = run_cli("sweep", "--N", "3", "--tau-final", "0.4",
+                      "--axis", axis, "--values=-3,3",
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        data = [l for l in (out / "sweep.csv").read_text().splitlines()
+                if not l.startswith("#")][1:]
+        assert data[0].startswith("-3,failed")
+        assert "non-negative whole number" in data[0]
         assert data[1].startswith("3,completed")
 
     def test_empty_axis_usage_error(self, tmp_path):
