@@ -198,10 +198,17 @@ class RunConfig:
         return out
 
 
+def _config_parser() -> configparser.ConfigParser:
+    # values are taken as written: no %-interpolation, so a '%' in a path
+    # round-trips through the echo without escaping
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.optionxform = str  # keys like N and J are case-sensitive
+    return parser
+
+
 def load_config_file(path: str) -> dict:
     """Read the INI config into a flat ``{field: string}`` dict."""
-    parser = configparser.ConfigParser()
-    parser.optionxform = str  # keys like N and J are case-sensitive
+    parser = _config_parser()
     read = parser.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path}")
@@ -260,8 +267,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def write_config_echo(cfg: RunConfig, path: str) -> None:
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
+    parser = _config_parser()
     for section, keys in CONFIG_SECTIONS.items():
         parser.add_section(section)
         for key in keys:

@@ -16,7 +16,9 @@ identity operator (the maximally mixed state up to normalization), applies
 the Trotter gate sequence with trace renormalization after every gate and
 truncation on a split cadence (size/weight budgets and a provisional
 coefficient cut per gate, the full coefficient threshold per step), and
-records the energy trajectory once per step.
+records the energy trajectory once per step.  The provisional cut runs
+inside each gate's merge, so rows under it are never inserted; the budgets
+and the step-end threshold run through :func:`~paulievo.opsum.truncate`.
 
 Time bookkeeping: one full sweep of ``exp(-(alpha_j dt / 2) h_j)`` factors
 advances the accumulated imaginary time ``tau`` by ``dt``, and because the
@@ -176,22 +178,28 @@ class Trajectory:
 def _apply_generator(state: PauliSum, gate: GateSpec, *,
                      branch_when_commuting: bool, stay: float,
                      spawn: float,
-                     drop_relative: float = MERGE_DROP_RELATIVE) -> PauliSum:
+                     drop_relative: float = MERGE_DROP_RELATIVE,
+                     cut: float = 0.0) -> PauliSum:
     """Scale the active rows by ``stay`` and merge their spawn ``spawn * Q P``
-    into the state.
+    into the state, keeping only merged rows with ``|c| > cut``.
 
     The state is sorted and unique, and XOR with ``Q`` is a bijection, so
     the spawn block is unique too: after sorting that block alone, every
     spawned key either hits exactly one state row, whose coefficient it is
     added to (the existing row keeps its lower index), or is a new row
     inserted at its sorted position.  Every merged coefficient is therefore
-    the same single float sum a full re-sort would form.
+    the same single float sum a full re-sort would form.  The cut joins the
+    numerical-zero drop in one keep mask, so the result equals
+    ``truncate(gate(state), Threshold(cut))`` without a second pass and
+    without inserting the new rows that pass would remove.
     """
     if gate.generator.n_qubits != state.n_qubits:
         raise DimensionMismatchError(
             f"gate width {gate.generator.n_qubits} != state width "
             f"{state.n_qubits}"
         )
+    if not cut >= 0.0:
+        raise ValueError(f"cut must be >= 0, not {cut!r}")
     if len(state) == 0:
         return state
     gwords = gate.generator.words()
@@ -200,12 +208,12 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     active = ~anti if branch_when_commuting else anti
     act = np.flatnonzero(active)
     if act.size == 0:
-        return state
+        return truncate(state, Threshold(cut))
     coeffs = state._coeffs * np.where(active, stay, 1.0)
     if spawn == 0.0:
-        return PauliSum._from_raw(
+        return truncate(PauliSum._from_raw(
             state.n_qubits, keys, coeffs, state._indices
-        )
+        ), Threshold(cut))
     spawn_keys = take_rows(keys, act)
     spawn_keys ^= gwords
     # canonical order inside the spawn block fixes the assignment order of
@@ -219,28 +227,36 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     pos, found = find_rows(keys, spawn_keys)
     coeffs[pos[found]] += spawn_coeffs[found]
     new = np.flatnonzero(~found)
-    # numerical-zero drop, relative to the largest merged magnitude
+    # numerical-zero drop, relative to the largest merged magnitude, and
+    # the cut (exact zeros always drop)
     absc = np.abs(coeffs)
     absn = np.abs(spawn_coeffs[new])
     top = np.maximum(absc.max(), absn.max()) if new.size else absc.max()
     floor = drop_relative * top
-    keep = (absc >= floor) & (absc > 0)
-    new = new[(absn >= floor) & (absn > 0)]
+    keep = (absc >= floor) & (absc > cut)
+    new = new[(absn >= floor) & (absn > cut)]
+    # gather the new rows and free the spawn block before the kept state
+    # rows are copied, so the two never coexist at full size; fresh
+    # indices start above every index in the state and follow the rank
+    # within the spawn block
+    fresh_keys = row_view(spawn_keys)[new]
+    fresh_coeffs = spawn_coeffs[new]
+    fresh_indices = new + (int(state._indices.max()) + 1)
+    below = pos[new]
+    del spawn_keys, spawn_coeffs, pos, found, new, act, order, k4, absc, absn
     indices = state._indices
     all_kept = bool(keep.all())
     if not all_kept:
         keys = take_rows(keys, keep)
         coeffs, indices = coeffs[keep], indices[keep]
-    if new.size == 0:
+    if below.size == 0:
         return PauliSum._from_raw(state.n_qubits, keys, coeffs, indices)
     # insert: a new row lands after the kept state rows below it and the
-    # new rows before it; fresh indices start above every index in the
-    # state and follow the rank within the spawn block
-    below = pos[new]
+    # new rows before it
     if not all_kept:
         below = np.concatenate(([0], np.cumsum(keep)))[below]
-    at = below + np.arange(new.size)
-    total = len(coeffs) + new.size
+    at = below + np.arange(below.size)
+    total = len(coeffs) + below.size
     is_old = np.ones(total, dtype=bool)
     is_old[at] = False
 
@@ -251,24 +267,29 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
         out[is_old] = old
         return out
 
-    rows = insert(row_view(keys), row_view(spawn_keys)[new])
+    rows = insert(row_view(keys), fresh_keys)
     return PauliSum._from_raw(
         state.n_qubits,
         rows.view(np.uint64).reshape(total, keys.shape[1]),
-        insert(coeffs, spawn_coeffs[new]),
-        insert(indices, new + (int(state._indices.max()) + 1)),
+        insert(coeffs, fresh_coeffs),
+        insert(indices, fresh_indices),
     )
 
 
 def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,
-                         drop_relative: float = MERGE_DROP_RELATIVE
-                         ) -> PauliSum:
+                         drop_relative: float = MERGE_DROP_RELATIVE,
+                         cut: float = 0.0) -> PauliSum:
     """Conjugate every term by ``exp(-(tau_eff/2) Q)`` from both sides.
 
     Anticommuting terms are exact fixed points; commuting terms split into
     ``cosh(tau_eff) P - sinh(tau_eff) Q P``.  Output term count is at most
     twice the input.  Merged entries below ``drop_relative`` times the
     largest magnitude drop as numerical zeros (exact zeros always drop).
+    A positive ``cut`` also drops every merged entry with ``|c| <= cut``
+    inside the merge: the result is, row for row and index for index,
+    ``truncate(apply_imaginary_gate(state, gate), Threshold(cut))``, but
+    the rows under the cut are never inserted.  :func:`run_itpp` passes
+    its per-gate coefficient threshold this way.
     """
     if gate.tau_eff is None:
         raise ValueError("gate carries no tau_eff")
@@ -276,6 +297,7 @@ def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,
     return _apply_generator(
         state, gate, branch_when_commuting=True,
         stay=math.cosh(t), spawn=-math.sinh(t), drop_relative=drop_relative,
+        cut=cut,
     )
 
 
@@ -409,6 +431,11 @@ def split_policy_by_cadence(policy: TruncationPolicy):
     it drops the strings too small to reach ``delta`` within the step
     before they spawn more.  ``f == 0`` puts the threshold in the step
     part only, ``f == 1`` in the gate part only.
+
+    The gate part is returned as a plain policy list, applied in order
+    after the gate.  :func:`run_itpp` runs it in an equal, faster form:
+    its thresholds as one ``cut`` inside the gate's merge (see
+    :func:`apply_imaginary_gate`) and the rest through ``truncate``.
     """
     flat: list = []
 
@@ -455,6 +482,10 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     cadence (see :func:`split_policy_by_cadence`): size and weight budgets
     and the provisional ``gate_fraction * delta`` coefficient cuts after
     every gate, the full coefficient thresholds once per Trotter step.
+    The per-gate coefficient cuts are applied inside the gate's merge, as
+    one ``cut`` at the largest of their ``delta`` values; the result is
+    the same as applying the gate part in order after the gate, because
+    a coefficient filter commutes with size budgets and weight cutoffs.
     After each step a :class:`TrajectoryRecord` is written with the energy
     ``tr(H rho)``, its relative error when ``reference_energy`` is given,
     the term count, the purity, and the elapsed wall time.  A record at
@@ -472,6 +503,11 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     h_sum = hamiltonian.to_sum()
     gates = _step_gates(hamiltonian, schedule)
     gate_policy, step_policy = split_policy_by_cadence(policy)
+    # the gate part's thresholds become one cut inside the merge
+    gate_cut = max((p.delta for p in gate_policy or ()
+                    if isinstance(p, Threshold)), default=0.0)
+    gate_policy = [p for p in gate_policy or ()
+                   if not isinstance(p, Threshold)] or None
     state = initial_state if initial_state is not None else \
         PauliSum.identity(hamiltonian.n_qubits)
     if state.n_qubits != hamiltonian.n_qubits:
@@ -501,7 +537,8 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     for step in range(start_step, schedule.n_steps):
         for gate_index, gate in enumerate(gates):
             state = apply_imaginary_gate(state, gate,
-                                         drop_relative=drop_relative)
+                                         drop_relative=drop_relative,
+                                         cut=gate_cut)
             if not state.is_real:
                 raise AssertionError("propagated state went complex")
             try:

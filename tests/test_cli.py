@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, checkpoint/resume."""
 
+import configparser
+import io
 import math
 import re
 from dataclasses import fields
@@ -103,6 +105,21 @@ class TestConfigSchema:
         path = tmp_path / "config.ini"
         write_config_echo(cfg, str(path))
         assert read_config_echo(str(path)) == cfg
+
+    def test_echo_bytes_match_interpolating_writer(self, tmp_path):
+        # with no '%' in any value, turning interpolation off changes no
+        # byte of the echo
+        path = tmp_path / "config.ini"
+        write_config_echo(self.FULL, str(path))
+        interpolating = configparser.ConfigParser()
+        interpolating.optionxform = str
+        for section, keys in CONFIG_SECTIONS.items():
+            interpolating.add_section(section)
+            for key in keys:
+                interpolating.set(section, key, str(getattr(self.FULL, key)))
+        text = io.StringIO()
+        interpolating.write(text)
+        assert path.read_text() == text.getvalue()
 
     @pytest.mark.parametrize("text, value", [
         ("1", True), ("true", True), ("YES", True), (" On ", True),
@@ -242,6 +259,24 @@ class TestRunItpp:
         assert res.returncode == 0, res.stderr
         summary = (out / "summary.txt").read_text()
         assert "model = tfim N=4" in summary
+
+    def test_percent_in_out_dir(self, tmp_path):
+        out = tmp_path / "run%1"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        echo = out / "config.ini"
+        assert f"out_dir = {out}\n" in echo.read_text()
+        assert read_config_echo(str(echo)).out_dir == str(out)
+
+    def test_config_file_percent_taken_literally(self, tmp_path):
+        out = tmp_path / "a%%b%(N)s"
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[model]\nN = 3\n[schedule]\ntau_final = 0.2\n"
+                       f"[output]\nout_dir = {out}\n")
+        res = run_cli("run-itpp", "--config", str(cfg))
+        assert res.returncode == 0, res.stderr
+        assert (out / "trajectory.csv").exists()
 
     def test_config_power_notation_count(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -6,7 +6,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import paulievo
 from paulievo import (
@@ -36,7 +36,12 @@ from paulievo import (
     trotter_sequence,
     truncate,
 )
-from paulievo.opsum import MERGE_DROP_RELATIVE, _coalesce, dumps_pauli_sum
+from paulievo.opsum import (
+    MERGE_DROP_RELATIVE,
+    THRESHOLD_GATE_FRACTION,
+    _coalesce,
+    dumps_pauli_sum,
+)
 from paulievo.oracle import (
     imaginary_conjugation_matrix,
     pauli_sum_matrix,
@@ -305,6 +310,17 @@ def merge_cases(draw, n=None, sites=None):
     return state, g, drop
 
 
+def check_cut(state, g, cut, drop=MERGE_DROP_RELATIVE):
+    """``apply_imaginary_gate(state, g, cut=cut)`` against the two passes it
+    replaces, ``truncate(apply_imaginary_gate(state, g), Threshold(cut))``:
+    same keys, coefficients and insertion indices."""
+    got = apply_imaginary_gate(state, g, drop_relative=drop, cut=cut)
+    want = truncate(apply_imaginary_gate(state, g, drop_relative=drop),
+                    Threshold(cut))
+    assert_same_rows(got, want)
+    return got
+
+
 class TestMergeKernel:
     """The lookup-and-insert gate against the full re-sort it replaces."""
 
@@ -391,6 +407,46 @@ class TestMergeKernel:
             out = apply(state)
             assert_same_rows(out, oracle(state))
             state = normalize_by_trace(truncate(out, FixedK(300)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases(), st.data())
+    def test_cut_matches_truncate_after_gate(self, case, data):
+        state, g, drop = case
+        assume(len(state) > 0 and g.tau_eff is not None)
+        # the cut lands on a merged magnitude or just above it, where the
+        # strict '>' decides
+        merged = apply_imaginary_gate(state, g, drop_relative=drop)
+        m = data.draw(st.sampled_from(sorted(set(np.abs(merged._coeffs)))))
+        cut = data.draw(st.sampled_from(
+            [0.0, float(m), float(np.nextafter(m, math.inf))]
+        ))
+        check_cut(state, g, cut, drop)
+
+    def test_cut_zero_angle_gate(self):
+        # tau_eff = 0 takes the no-spawn early return, which must cut too
+        state = PauliSum.from_terms(
+            4, [(1.0, "IIII"), (0.3, "ZIII"), (0.01, "ZZII"), (0.002, "XIII")]
+        )
+        out = check_cut(state, gate("ZIII", tau=0.0), 0.01)
+        assert len(out) == 2
+
+    def test_cut_no_row_commutes(self):
+        # every row anticommutes with Q: the no-active-row early return
+        state = PauliSum.from_terms(4, [(0.5, "ZIII"), (0.01, "YIII")])
+        out = check_cut(state, gate("XIII", tau=0.3), 0.1)
+        assert "YIII" not in out and "ZIII" in out
+
+    def test_cut_above_identity(self):
+        # the identity (cosh 0.3 = 1.045 after the gate) falls under the
+        # cut while the larger, untouched ZIII stays
+        state = PauliSum.from_terms(4, [(1.0, "IIII"), (2.0, "ZIII")])
+        out = check_cut(state, gate("XXII", tau=0.3), 1.1)
+        assert "IIII" not in out and "ZIII" in out and len(out) == 1
+
+    def test_negative_cut_rejected(self):
+        with pytest.raises(ValueError, match="cut"):
+            apply_imaginary_gate(PauliSum.identity(2), gate("ZZ", tau=0.1),
+                                 cut=-1e-3)
 
 
 class TestTrotterSequence:
@@ -730,6 +786,50 @@ class TestTwoLevelThreshold:
             < 0.01 * err
         assert abs(default.final.n_terms - step_only.final.n_terms) \
             < 0.01 * step_only.final.n_terms
+
+
+class TestGateCutInRun:
+    """``run_itpp`` folds the gate part's thresholds into the merge as one
+    cut; the loop oracle still truncates after every gate."""
+
+    @pytest.mark.parametrize("fraction, delta", [
+        (1.0, 2 ** -10), (THRESHOLD_GATE_FRACTION, 2 ** -6),
+    ], ids=["gate_only", "default"])
+    def test_zero_coefficient_term(self, fraction, delta):
+        # the zero term's gate has tau_eff = 0 and spawns nothing, but the
+        # cut must still drop what the normalization after the gate before
+        # it pushed under the cut
+        tfim = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
+        h = Hamiltonian(4, [*tfim.terms[:3], (0.0, "XXII"), *tfim.terms[3:]])
+        step_part = [] if fraction == 1.0 else [Threshold(delta)]
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2),
+            Threshold(delta, gate_fraction=fraction),
+            [Threshold(fraction * delta)], step_part,
+        )
+
+    def test_fixed_k_then_threshold(self):
+        h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
+        delta, f = 2 ** -8, 2 ** -3
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2),
+            [FixedK(40), Threshold(delta, gate_fraction=f)],
+            [FixedK(40), Threshold(f * delta)], [Threshold(delta)],
+        )
+
+    @pytest.mark.parametrize("a", [2 ** -14, 2 ** -10],
+                             ids=["below", "above"])
+    def test_two_thresholds(self, a):
+        # the gate part holds Threshold(a) and Threshold(f * b); at the
+        # default f, f * b = 2^-12 lies above a in one case, below it in
+        # the other
+        h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
+        b, f = 2 ** -6, THRESHOLD_GATE_FRACTION
+        assert_matches_loop_oracle(
+            h, ScheduleConfig(0.04, 1.2),
+            [Threshold(a, gate_fraction=1), Threshold(b)],
+            [Threshold(a), Threshold(f * b)], [Threshold(b)],
+        )
 
 
 class TestEstimators:
