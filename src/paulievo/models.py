@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -15,7 +16,7 @@ class Hamiltonian:
     Duplicate strings are merged at build time (coefficients summed, first
     position kept), so term order is well defined for Trotter sequencing.
     Real coefficients on Hermitian strings make the operator Hermitian by
-    construction.
+    construction; a coefficient that is not finite raises ``ValueError``.
     """
 
     __slots__ = ("n_qubits", "terms")
@@ -41,6 +42,9 @@ class Hamiltonian:
             else:
                 prev_c, prev_p = out[pos]
                 out[pos] = (prev_c + c, prev_p)
+        for c, p in out:
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} of {p} is not finite")
         self.n_qubits = n_qubits
         self.terms = tuple(out)
 

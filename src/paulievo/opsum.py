@@ -357,54 +357,53 @@ def purity(a: PauliSum) -> float:
     return float((a._coeffs * a._coeffs).sum())
 
 
-def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
-    """Apply a truncation policy (or an ordered list of policies)."""
+def policy_parts(policy: TruncationPolicy) -> list:
+    """The single policies of a policy, in order: nested lists and tuples
+    are flattened and ``None`` parts are skipped."""
     if policy is None:
-        return a
+        return []
     if isinstance(policy, (list, tuple)):
-        out = a
-        for p in policy:
-            out = truncate(out, p)
-        return out
-    if isinstance(policy, Threshold):
-        if policy.delta == 0 or len(a) == 0:
-            return a
-        keep = np.abs(a._coeffs) > policy.delta
-        if keep.all():
-            return a
-        return PauliSum._from_raw(
-            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
-            a._indices[keep],
-        )
-    if isinstance(policy, WeightCutoff):
-        if len(a) == 0:
-            return a
-        keep = row_weights(a._keys) <= policy.max_weight
-        if keep.all():
-            return a
-        return PauliSum._from_raw(
-            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
-            a._indices[keep],
-        )
-    if isinstance(policy, FixedK):
+        return [q for p in policy for q in policy_parts(p)]
+    return [policy]
+
+
+def _keep_mask(part, a: PauliSum) -> np.ndarray | None:
+    """The rows of ``a`` that one policy keeps; ``None`` keeps them all."""
+    if isinstance(part, Threshold):
+        return np.abs(a._coeffs) > part.delta if part.delta else None
+    if isinstance(part, WeightCutoff):
+        return row_weights(a._keys) <= part.max_weight
+    if isinstance(part, FixedK):
         m = len(a)
-        if m <= policy.k:
-            return a
+        if m <= part.k:
+            return None
         absc = np.abs(a._coeffs)
         # value of the k-th largest magnitude; everything above it is kept
         # and the remaining slots go to boundary ties in first-seen order
-        kth = np.partition(absc, m - policy.k)[m - policy.k]
+        kth = np.partition(absc, m - part.k)[m - part.k]
         keep = absc > kth
-        need = policy.k - int(keep.sum())
+        need = part.k - int(keep.sum())
         if need > 0:
             tie_pos = np.flatnonzero(absc == kth)
             order = np.argpartition(a._indices[tie_pos], need - 1)[:need]
             keep[tie_pos[order]] = True
-        return PauliSum._from_raw(
-            a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
-            a._indices[keep],
-        )
-    raise TypeError(f"unknown truncation policy: {policy!r}")
+        return keep
+    raise TypeError(f"unknown truncation policy: {part!r}")
+
+
+def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
+    """Apply a truncation policy (or an ordered list of policies).
+
+    Returns ``a`` itself when no part drops a row.
+    """
+    for part in policy_parts(policy):
+        keep = _keep_mask(part, a)
+        if keep is not None and not keep.all():
+            a = PauliSum._from_raw(
+                a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
+                a._indices[keep],
+            )
+    return a
 
 
 def normalize_by_trace(a: PauliSum, *, eps: float = DEFAULT_TRACE_EPS) -> PauliSum:

@@ -102,10 +102,6 @@ class DenseOperator:
     def from_hamiltonian(cls, h: Hamiltonian) -> "DenseOperator":
         return cls(hamiltonian_matrix(h), h.n_qubits).assert_hermitian()
 
-    @classmethod
-    def from_sum(cls, a: PauliSum) -> "DenseOperator":
-        return cls(pauli_sum_matrix(a), a.n_qubits)
-
 
 # ---------------------------------------------------------------------------
 # Dense imaginary-time evolution

@@ -13,12 +13,13 @@ Single-generator update rules, for a Pauli term ``P`` and a generator ``Q``:
 Both rules therefore keep a real-coefficient expansion real, and each gate
 at most doubles the term count.  The driver :func:`run_itpp` starts from the
 identity operator (the maximally mixed state up to normalization), applies
-the Trotter gate sequence with trace renormalization after every gate and
-truncation on a split cadence (size/weight budgets and a provisional
-coefficient cut per gate, the full coefficient threshold per step), and
-records the energy trajectory once per step.  The provisional cut runs
-inside each gate's merge, so rows under it are never inserted; the budgets
-and the step-end threshold run through :func:`~paulievo.opsum.truncate`.
+the Trotter gate sequence with truncation on a split cadence (size/weight
+budgets and a provisional coefficient cut per gate, the full coefficient
+threshold per step), and records the energy trajectory once per step.  Each
+gate takes the gate part of the policy as it is: its thresholds as one cut
+inside the merge, so rows under it are never inserted, then its budgets as
+a pass over the merged rows; the trace normalization follows.  The
+step-end threshold runs through :func:`~paulievo.opsum.truncate`.
 
 Time bookkeeping: one full sweep of ``exp(-(alpha_j dt / 2) h_j)`` factors
 advances the accumulated imaginary time ``tau`` by ``dt``, and because the
@@ -46,6 +47,7 @@ from .opsum import (
     normalize_by_trace,
     normalized_trace,
     overlap,
+    policy_parts,
     purity,
     truncate,
 )
@@ -67,6 +69,8 @@ _SIGN_FROM_K4 = np.array([1.0, -1.0, -1.0, 1.0])
 
 # i**k is +1 or +i for k in {0,1} and -1 or -i for k in {2,3}
 _PHASE_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
+
+_INDEX_MAX = int(np.iinfo(np.int64).max)
 
 # residual imaginary parts beyond this bound indicate a bug, not round-off
 IMAG_RESIDUE_REL = 1e-9
@@ -105,7 +109,8 @@ class ScheduleConfig:
     identity terms are skipped after reordering.  The step count is
     ``ceil(tau_final / delta_tau)`` (with a tiny slack so exact multiples do
     not round up through float noise), so ``n_steps * delta_tau >=
-    tau_final`` always holds.
+    tau_final`` always holds.  ``delta_tau`` must be finite and positive,
+    ``tau_final`` finite and non-negative.
     """
 
     delta_tau: float
@@ -113,10 +118,12 @@ class ScheduleConfig:
     term_ordering: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.delta_tau <= 0:
-            raise ValueError("delta_tau must be positive")
-        if self.tau_final < 0:
-            raise ValueError("tau_final must be >= 0")
+        if not (math.isfinite(self.delta_tau) and self.delta_tau > 0):
+            raise ValueError(f"delta_tau must be finite and positive, not "
+                             f"{self.delta_tau!r}")
+        if not (math.isfinite(self.tau_final) and self.tau_final >= 0):
+            raise ValueError(f"tau_final must be finite and >= 0, not "
+                             f"{self.tau_final!r}")
         if self.term_ordering is not None:
             object.__setattr__(
                 self, "term_ordering", tuple(self.term_ordering)
@@ -188,18 +195,21 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     spawned key either hits exactly one state row, whose coefficient it is
     added to (the existing row keeps its lower index), or is a new row
     inserted at its sorted position.  Every merged coefficient is therefore
-    the same single float sum a full re-sort would form.  The cut joins the
+    the same single float sum a full re-sort would form.  The cut (the
+    thresholds of the gate's policy, as one ``delta``) joins the
     numerical-zero drop in one keep mask, so the result equals
     ``truncate(gate(state), Threshold(cut))`` without a second pass and
-    without inserting the new rows that pass would remove.
+    without inserting the new rows that pass would remove.  An empty spawn
+    block (no active row, or ``spawn == 0``) takes the same path, so the
+    drop and the cut apply at every gate.  Fresh indices count up from one
+    past the largest index; a state whose largest index leaves no room for
+    the spawn block within int64 is refused with ``ValueError``.
     """
     if gate.generator.n_qubits != state.n_qubits:
         raise DimensionMismatchError(
             f"gate width {gate.generator.n_qubits} != state width "
             f"{state.n_qubits}"
         )
-    if not cut >= 0.0:
-        raise ValueError(f"cut must be >= 0, not {cut!r}")
     if len(state) == 0:
         return state
     gwords = gate.generator.words()
@@ -207,13 +217,13 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     anti = anticommute_mask(keys, gwords)
     active = ~anti if branch_when_commuting else anti
     act = np.flatnonzero(active)
-    if act.size == 0:
-        return truncate(state, Threshold(cut))
+    last = int(state._indices.max())
+    if last > _INDEX_MAX - act.size:
+        raise ValueError(
+            f"largest insertion index {last} leaves no room for "
+            f"{act.size} fresh indices within int64"
+        )
     coeffs = state._coeffs * np.where(active, stay, 1.0)
-    if spawn == 0.0:
-        return truncate(PauliSum._from_raw(
-            state.n_qubits, keys, coeffs, state._indices
-        ), Threshold(cut))
     spawn_keys = take_rows(keys, act)
     spawn_keys ^= gwords
     # canonical order inside the spawn block fixes the assignment order of
@@ -241,7 +251,7 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     # within the spawn block
     fresh_keys = row_view(spawn_keys)[new]
     fresh_coeffs = spawn_coeffs[new]
-    fresh_indices = new + (int(state._indices.max()) + 1)
+    fresh_indices = new + (last + 1)
     below = pos[new]
     del spawn_keys, spawn_coeffs, pos, found, new, act, order, k4, absc, absn
     indices = state._indices
@@ -278,27 +288,35 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
 
 def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,
                          drop_relative: float = MERGE_DROP_RELATIVE,
-                         cut: float = 0.0) -> PauliSum:
+                         policy: TruncationPolicy = None) -> PauliSum:
     """Conjugate every term by ``exp(-(tau_eff/2) Q)`` from both sides.
 
     Anticommuting terms are exact fixed points; commuting terms split into
     ``cosh(tau_eff) P - sinh(tau_eff) Q P``.  Output term count is at most
     twice the input.  Merged entries below ``drop_relative`` times the
     largest magnitude drop as numerical zeros (exact zeros always drop).
-    A positive ``cut`` also drops every merged entry with ``|c| <= cut``
-    inside the merge: the result is, row for row and index for index,
-    ``truncate(apply_imaginary_gate(state, gate), Threshold(cut))``, but
-    the rows under the cut are never inserted.  :func:`run_itpp` passes
-    its per-gate coefficient threshold this way.
+
+    ``policy`` is applied to the merged result: the result is, row for row
+    and index for index, ``truncate(apply_imaginary_gate(state, gate),
+    policy)``.  Its :class:`~paulievo.opsum.Threshold` parts act as one cut
+    at their largest ``delta`` inside the merge, so rows under it are never
+    inserted; its :class:`~paulievo.opsum.FixedK` and
+    :class:`~paulievo.opsum.WeightCutoff` parts then run in their own order
+    over the merged rows.  This is exact because a coefficient filter
+    commutes with both.  :func:`run_itpp` passes the gate part of its
+    policy this way.
     """
     if gate.tau_eff is None:
         raise ValueError("gate carries no tau_eff")
     t = gate.tau_eff
-    return _apply_generator(
+    parts = policy_parts(policy)
+    merged = _apply_generator(
         state, gate, branch_when_commuting=True,
         stay=math.cosh(t), spawn=-math.sinh(t), drop_relative=drop_relative,
-        cut=cut,
+        cut=max((p.delta for p in parts if isinstance(p, Threshold)),
+                default=0.0),
     )
+    return truncate(merged, [p for p in parts if not isinstance(p, Threshold)])
 
 
 def apply_real_gate(state: PauliSum, gate: GateSpec) -> PauliSum:
@@ -432,25 +450,12 @@ def split_policy_by_cadence(policy: TruncationPolicy):
     before they spawn more.  ``f == 0`` puts the threshold in the step
     part only, ``f == 1`` in the gate part only.
 
-    The gate part is returned as a plain policy list, applied in order
-    after the gate.  :func:`run_itpp` runs it in an equal, faster form:
-    its thresholds as one ``cut`` inside the gate's merge (see
-    :func:`apply_imaginary_gate`) and the rest through ``truncate``.
+    Each part is returned as a plain policy list, or ``None`` when empty.
+    :func:`run_itpp` hands the gate part to :func:`apply_imaginary_gate` as
+    it is.
     """
-    flat: list = []
-
-    def collect(p):
-        if p is None:
-            return
-        if isinstance(p, (list, tuple)):
-            for q in p:
-                collect(q)
-        else:
-            flat.append(p)
-
-    collect(policy)
     gate_part, step_part = [], []
-    for p in flat:
+    for p in policy_parts(policy):
         if not isinstance(p, Threshold) or p.gate_fraction == 1.0:
             gate_part.append(p)
         elif p.gate_fraction == 0.0:
@@ -480,12 +485,12 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     normalization), every gate of every Trotter step applies the imaginary
     update rule and renormalizes by the trace.  Truncation runs on a split
     cadence (see :func:`split_policy_by_cadence`): size and weight budgets
-    and the provisional ``gate_fraction * delta`` coefficient cuts after
+    and the provisional ``gate_fraction * delta`` coefficient cuts at
     every gate, the full coefficient thresholds once per Trotter step.
-    The per-gate coefficient cuts are applied inside the gate's merge, as
-    one ``cut`` at the largest of their ``delta`` values; the result is
-    the same as applying the gate part in order after the gate, because
-    a coefficient filter commutes with size budgets and weight cutoffs.
+    Each gate is one :func:`apply_imaginary_gate` with the gate part as
+    its ``policy`` (thresholds as one cut inside the merge, budgets over
+    the merged rows) and one trace normalization.  A complex
+    ``initial_state`` is refused with ``TypeError`` before any gate runs.
     After each step a :class:`TrajectoryRecord` is written with the energy
     ``tr(H rho)``, its relative error when ``reference_energy`` is given,
     the term count, the purity, and the elapsed wall time.  A record at
@@ -503,15 +508,12 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     h_sum = hamiltonian.to_sum()
     gates = _step_gates(hamiltonian, schedule)
     gate_policy, step_policy = split_policy_by_cadence(policy)
-    # the gate part's thresholds become one cut inside the merge
-    gate_cut = max((p.delta for p in gate_policy or ()
-                    if isinstance(p, Threshold)), default=0.0)
-    gate_policy = [p for p in gate_policy or ()
-                   if not isinstance(p, Threshold)] or None
     state = initial_state if initial_state is not None else \
         PauliSum.identity(hamiltonian.n_qubits)
     if state.n_qubits != hamiltonian.n_qubits:
         raise DimensionMismatchError("initial state width != Hamiltonian width")
+    if not state.is_real:
+        raise TypeError("propagation requires real coefficients")
 
     trajectory = Trajectory()
     t0 = time.perf_counter()
@@ -538,11 +540,9 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
         for gate_index, gate in enumerate(gates):
             state = apply_imaginary_gate(state, gate,
                                          drop_relative=drop_relative,
-                                         cut=gate_cut)
-            if not state.is_real:
-                raise AssertionError("propagated state went complex")
+                                         policy=gate_policy)
             try:
-                state = normalize_by_trace(truncate(state, gate_policy))
+                state = normalize_by_trace(state)
             except TraceCollapseError as err:
                 raise TraceCollapseError(
                     f"trace collapsed at Trotter step {step + 1}, gate "

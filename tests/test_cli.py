@@ -207,6 +207,28 @@ class TestRunItpp:
         assert "non-negative whole number" in res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (("--tau-final", "inf"), "tau_final must be finite and >= 0, not inf"),
+        (("--delta-tau", "nan"),
+         "delta_tau must be finite and positive, not nan"),
+        (("--delta-tau", "inf"),
+         "delta_tau must be finite and positive, not inf"),
+        (("--h", "inf"), "coefficient -inf of"),
+        (("--kind", "terms", "--dense-guard", "2"), "coefficient nan of ZZI"),
+    ], ids=["tau-final-inf", "delta-tau-nan", "delta-tau-inf", "h-inf",
+            "terms-file-nan"])
+    def test_non_finite_schedule_or_model_exits_2(self, tmp_path, flags,
+                                                  named):
+        terms = tmp_path / "model.txt"
+        terms.write_text("nan ZZI\n-1.0 XII\n")
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2", *flags,
+                      "--terms-file", str(terms), "--out-dir", str(out))
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
     def test_power_notation_flag_matches_decimal(self, tmp_path):
         a, b = tmp_path / "power", tmp_path / "decimal"
         for out, j in ((a, "2^-1"), (b, "0.5")):
@@ -414,6 +436,22 @@ class TestResume:
         assert res.returncode == 2
         assert "stop_after_step" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_resume_index_overflow_exits_2(self, tmp_path):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        ckpt = out / "checkpoint.psum"
+        lines = ckpt.read_text().splitlines(keepends=True)
+        top = 2 ** 63 - 2
+        cells = lines[-1].split()
+        lines[-1] = " ".join(cells[:-1] + [str(top)]) + "\n"
+        ckpt.write_text("".join(lines))
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert f"error: largest insertion index {top}" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_checkpoint_written_once_per_step(self, tmp_path, monkeypatch):
         steps = []

@@ -1,5 +1,7 @@
 """Model construction: the open-chain TFIM and generic term ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,17 @@ class TestHamiltonianFromTerms:
         s = ham.to_sum()
         assert s.coefficient("ZZ") == 1.5
         assert s.coefficient("XI") == -0.5
+
+    @pytest.mark.parametrize("terms, named", [
+        pytest.param([(1.0, "ZZ"), (math.nan, "XI")], "nan", id="nan"),
+        pytest.param([(math.inf, "ZZ")], "inf", id="inf"),
+        pytest.param([(-math.inf, "XI"), (1.0, "ZZ")], "-inf", id="-inf"),
+        pytest.param([(1e308, "ZZ"), (1e308, "ZZ")], "inf",
+                     id="duplicates-overflow"),
+    ])
+    def test_non_finite_coefficient_rejected(self, terms, named):
+        with pytest.raises(ValueError, match=f"coefficient {named} of"):
+            Hamiltonian(2, terms)
 
 
 class TestTermFile:

@@ -308,6 +308,38 @@ class TestTruncate:
         assert truncate(a, None) == a
         assert truncate(a, Threshold(0.0)) == a
 
+    @pytest.mark.parametrize("policy", [
+        pytest.param([[Threshold(0.1)], (WeightCutoff(1), [FixedK(2)])],
+                     id="nested"),
+        pytest.param([None, Threshold(0.1), [None, WeightCutoff(1)], None,
+                      (FixedK(2),)], id="none-parts"),
+        pytest.param(([[[Threshold(0.1), WeightCutoff(1)]]], FixedK(2)),
+                     id="deep-tuple"),
+    ])
+    def test_nested_and_none_parts_flatten_in_order(self, policy):
+        a = PauliSum.from_terms(
+            2, [(1.0, "II"), (0.8, "XY"), (0.7, "XI"), (0.05, "ZZ")]
+        )
+        out = truncate(a, policy)
+        flat = truncate(a, [Threshold(0.1), WeightCutoff(1), FixedK(2)])
+        assert set(str(s) for s, _ in out.items()) == {"II", "XI"}
+        assert out == flat
+        assert np.array_equal(out._indices, flat._indices)
+
+    @pytest.mark.parametrize("policy", [
+        [], [None], [[None], ()], [Threshold(0.0), [None, FixedK(10)]],
+        WeightCutoff(4),
+    ])
+    def test_parts_that_drop_nothing_return_the_same_sum(self, policy):
+        rng = np.random.default_rng(62)
+        a = random_pauli_sum(rng, 3, 6)
+        assert truncate(a, policy) is a
+
+    def test_unknown_part_rejected_inside_a_list(self):
+        a = PauliSum.identity(2)
+        with pytest.raises(TypeError, match="unknown truncation policy"):
+            truncate(a, [None, [Threshold(0.1), "fixed_k=3"]])
+
     @given(st.integers(1, 40), st.integers(1, 6))
     def test_never_grows(self, k, n_terms):
         rng = np.random.default_rng(1000 + k)

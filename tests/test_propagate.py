@@ -3,12 +3,14 @@
 import ast
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paulievo
+import paulievo.propagate as propagate_module
 from paulievo import (
     DimensionMismatchError,
     FixedK,
@@ -47,7 +49,13 @@ from paulievo.oracle import (
     pauli_sum_matrix,
     real_conjugation_matrix,
 )
-from paulievo.pauli import commutes, key_to_words, multiply, unpack_string
+from paulievo.pauli import (
+    commutes,
+    key_to_words,
+    multiply,
+    row_weights,
+    unpack_string,
+)
 from paulievo.propagate import split_policy_by_cadence
 
 from helpers import (
@@ -310,15 +318,20 @@ def merge_cases(draw, n=None, sites=None):
     return state, g, drop
 
 
-def check_cut(state, g, cut, drop=MERGE_DROP_RELATIVE):
-    """``apply_imaginary_gate(state, g, cut=cut)`` against the two passes it
-    replaces, ``truncate(apply_imaginary_gate(state, g), Threshold(cut))``:
+def check_policy(state, g, policy, drop=MERGE_DROP_RELATIVE):
+    """``apply_imaginary_gate(state, g, policy=policy)`` against the two
+    passes it replaces, ``truncate(apply_imaginary_gate(state, g), policy)``:
     same keys, coefficients and insertion indices."""
-    got = apply_imaginary_gate(state, g, drop_relative=drop, cut=cut)
+    got = apply_imaginary_gate(state, g, drop_relative=drop, policy=policy)
     want = truncate(apply_imaginary_gate(state, g, drop_relative=drop),
-                    Threshold(cut))
+                    policy)
     assert_same_rows(got, want)
     return got
+
+
+def check_cut(state, g, cut, drop=MERGE_DROP_RELATIVE):
+    """:func:`check_policy` with the single policy ``Threshold(cut)``."""
+    return check_policy(state, g, Threshold(cut), drop)
 
 
 class TestMergeKernel:
@@ -422,19 +435,68 @@ class TestMergeKernel:
         ))
         check_cut(state, g, cut, drop)
 
+    @settings(max_examples=300, deadline=None)
+    @given(merge_cases(), st.data())
+    def test_policy_matches_truncate_after_gate(self, case, data):
+        """Any list of policies, in any order: thresholds on a merged
+        magnitude or the next float above it, budgets near the merged size
+        (so the boundary falls among old and fresh rows) or anywhere below
+        it, and weight cutoffs at a merged row's weight."""
+        state, g, drop = case
+        assume(len(state) > 0 and g.tau_eff is not None)
+        merged = apply_imaginary_gate(state, g, drop_relative=drop)
+        mags = sorted(set(np.abs(merged._coeffs).tolist()))
+        thresholds = st.sampled_from(mags).flatmap(
+            lambda m: st.sampled_from([m, float(np.nextafter(m, math.inf))])
+        ).map(Threshold)
+        budgets = st.one_of(
+            st.integers(max(1, len(merged) - 4), len(merged) + 1),
+            st.integers(1, len(merged)),
+        ).map(FixedK)
+        weights = st.sampled_from(
+            sorted(set(row_weights(merged._keys).tolist()) - {0})
+            or [1]).map(WeightCutoff)
+        policy = data.draw(st.lists(st.one_of(thresholds, budgets, weights),
+                                    min_size=1, max_size=4))
+        check_policy(state, g, policy, drop)
+
+    def test_fixed_k_tie_between_old_and_fresh_rows(self):
+        """An untouched state row and a fresh row with the same magnitude
+        at the budget's boundary: the older row wins the tie."""
+        t = 0.3
+        c = 0.5
+        tie = c * math.sinh(t)  # |spawn| of the fresh row IZII, exactly
+        state = PauliSum.from_terms(
+            4, [(1.0, "IIII"), (c, "ZZII"), (tie, "XIII")]
+        )
+        merged = apply_imaginary_gate(state, gate("ZIII", tau=t))
+        assert abs(merged.coefficient("IZII")) == merged.coefficient("XIII")
+        out = check_policy(state, gate("ZIII", tau=t),
+                           [Threshold(tie / 2), FixedK(4)])
+        assert "XIII" in out and "IZII" not in out
+
     def test_cut_zero_angle_gate(self):
-        # tau_eff = 0 takes the no-spawn early return, which must cut too
+        # tau_eff = 0 spawns only zeros, which the merge drops; the cut and
+        # the budget apply as at any other gate
         state = PauliSum.from_terms(
             4, [(1.0, "IIII"), (0.3, "ZIII"), (0.01, "ZZII"), (0.002, "XIII")]
         )
-        out = check_cut(state, gate("ZIII", tau=0.0), 0.01)
-        assert len(out) == 2
+        assert len(check_cut(state, gate("ZIII", tau=0.0), 0.01)) == 2
+        out = check_policy(state, gate("ZIII", tau=0.0),
+                           [Threshold(0.001), FixedK(2)])
+        assert "IIII" in out and "ZIII" in out and len(out) == 2
 
     def test_cut_no_row_commutes(self):
-        # every row anticommutes with Q: the no-active-row early return
+        # every row anticommutes with Q: an empty spawn block
         state = PauliSum.from_terms(4, [(0.5, "ZIII"), (0.01, "YIII")])
         out = check_cut(state, gate("XIII", tau=0.3), 0.1)
         assert "YIII" not in out and "ZIII" in out
+        state = PauliSum.from_terms(
+            4, [(0.5, "ZIII"), (0.01, "YIII"), (0.3, "ZZII")]
+        )
+        out = check_policy(state, gate("XIII", tau=0.3),
+                           [FixedK(2), Threshold(0.1)])
+        assert set(str(s) for s, _ in out.items()) == {"ZIII", "ZZII"}
 
     def test_cut_above_identity(self):
         # the identity (cosh 0.3 = 1.045 after the gate) falls under the
@@ -444,9 +506,38 @@ class TestMergeKernel:
         assert "IIII" not in out and "ZIII" in out and len(out) == 1
 
     def test_negative_cut_rejected(self):
-        with pytest.raises(ValueError, match="cut"):
+        with pytest.raises(ValueError, match="threshold"):
             apply_imaginary_gate(PauliSum.identity(2), gate("ZZ", tau=0.1),
-                                 cut=-1e-3)
+                                 policy=Threshold(-1e-3))
+
+
+class TestFreshIndexRange:
+    """Fresh insertion indices count up from one past the largest index
+    and must stay within int64."""
+
+    @staticmethod
+    def state_with_top_index(top):
+        base = PauliSum.from_terms(
+            3, [(1.0, "III"), (0.5, "IIZ"), (0.25, "XXI")]
+        )
+        indices = base._indices.copy()
+        indices[indices.argmax()] = top
+        return PauliSum._from_raw(3, base._keys, base._coeffs, indices)
+
+    @pytest.mark.parametrize("top", [2 ** 63 - 2, 2 ** 63 - 1])
+    def test_index_overflow_refused(self, top):
+        # every row commutes with ZZI, so the spawn block has 3 rows
+        state = self.state_with_top_index(top)
+        with pytest.raises(ValueError, match=f"largest insertion index {top}"):
+            apply_imaginary_gate(state, gate("ZZI", tau=0.1))
+
+    def test_last_representable_indices_used(self):
+        top = 2 ** 63 - 4
+        state = self.state_with_top_index(top)
+        out = apply_imaginary_gate(state, gate("ZZI", tau=0.1))
+        fresh = np.sort(out._indices[out._indices > top])
+        assert fresh.tolist() == [top + 1, top + 2, top + 3]
+        assert fresh[-1] == np.iinfo(np.int64).max
 
 
 class TestTrotterSequence:
@@ -482,6 +573,20 @@ class TestTrotterSequence:
         assert ScheduleConfig(0.04, 20.0).n_steps == 500
         assert ScheduleConfig(0.04, 10.02).n_steps == 251
         assert ScheduleConfig(0.1, 0.0).n_steps == 0
+
+    @pytest.mark.parametrize("delta_tau, tau_final, named", [
+        (math.inf, 1.0, "delta_tau must be finite and positive, not inf"),
+        (math.nan, 1.0, "delta_tau must be finite and positive, not nan"),
+        (0.0, 1.0, "delta_tau must be finite and positive, not 0.0"),
+        (-0.1, 1.0, "delta_tau must be finite and positive, not -0.1"),
+        (0.1, math.inf, "tau_final must be finite and >= 0, not inf"),
+        (0.1, math.nan, "tau_final must be finite and >= 0, not nan"),
+        (0.1, -1.0, "tau_final must be finite and >= 0, not -1.0"),
+    ])
+    def test_schedule_numbers_must_be_finite(self, delta_tau, tau_final,
+                                             named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ScheduleConfig(delta_tau, tau_final)
 
     def test_custom_ordering(self):
         h = build_tfim(TfimParams(N=2, J=1.0, h=0.5))
@@ -597,6 +702,21 @@ class TestRunItpp:
         _, per_step = run_itpp(h, sched, Threshold(2 ** -7))
         _, per_gate = run_itpp(h, sched, Threshold(2 ** -7, gate_fraction=1))
         assert per_step.final.n_terms > 1.5 * per_gate.final.n_terms
+
+    def test_complex_initial_state_refused_before_any_gate(self,
+                                                             monkeypatch):
+        h = build_tfim(TfimParams(N=3))
+        ident = PauliSum.identity(3)
+        state = PauliSum._from_raw(3, ident._keys,
+                                   ident._coeffs.astype(complex),
+                                   ident._indices)
+        gates_run = []
+        monkeypatch.setattr(propagate_module, "apply_imaginary_gate",
+                            lambda *args, **kw: gates_run.append(args))
+        with pytest.raises(TypeError, match="real coefficients"):
+            run_itpp(h, ScheduleConfig(0.1, 0.3), initial_state=state,
+                     start_step=1)
+        assert gates_run == []
 
     def test_deterministic_rerun_bit_identical(self):
         h = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
