@@ -44,7 +44,7 @@ from .oracle import (
     dense_trotter_ite,
     ground_energy,
 )
-from .propagate import ScheduleConfig, Trajectory, run_itpp
+from .propagate import ScheduleConfig, TrajectoryRecord, run_itpp
 
 SCHEMA_TRAJECTORY = "itpp-trajectory v1"
 SCHEMA_SUMMARY = "itpp-summary v1"
@@ -324,12 +324,18 @@ def record_row(record) -> str:
         _fmt(record.tau),
         _fmt(record.energy),
         _fmt(record.relative_error),
-        str(record.n_terms),
+        _fmt(record.n_terms),
         _fmt(record.purity),
         _fmt(record.wall_time_s),
     ]
     cells += [_fmt(v) for v in record.observable_values]
     return ",".join(cells)
+
+
+def write_trajectory(path: str, header: list[str], rows: list[str]) -> None:
+    with open(path, "w") as f:
+        for line in header + rows:
+            f.write(line + "\n")
 
 
 def write_summary(path: str, entries: dict) -> None:
@@ -343,7 +349,13 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
     """Execute one propagation run and write its artifacts.
 
     Returns the summary dict.  ``resume_from`` is ``(state, start_step,
-    kept_rows)`` when continuing from a checkpoint.
+    kept_rows)`` when continuing from a checkpoint; the kept rows are
+    written first, then one :func:`record_row` per new record.  The
+    summary's ``final_*`` values and ``total_wall_time_s`` are the cells of
+    the last row written and ``max_n_terms`` the largest ``n_terms`` cell,
+    so a resume that has no step left still reports its final values.  A
+    ``stop_after_step`` writes the checkpoint at that step and reports
+    ``interrupted`` only when steps were left to run.
     """
     hamiltonian = cfg.hamiltonian()
     schedule = cfg.schedule()
@@ -353,37 +365,27 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_config_echo(cfg, os.path.join(cfg.out_dir, "config.ini"))
-    traj_path = os.path.join(cfg.out_dir, "trajectory.csv")
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.psum")
 
-    initial_state = None
-    start_step = 0
-    kept_rows: list[str] = []
-    if resume_from is not None:
-        initial_state, start_step, kept_rows = resume_from
-
-    max_terms = 1 if initial_state is None else len(initial_state)
-    for row in kept_rows:
-        cells = row.split(",")
-        if len(cells) > 3 and cells[3]:
-            max_terms = max(max_terms, int(cells[3]))
+    initial_state, start_step, kept_rows = resume_from or (None, 0, [])
 
     stopped = False
 
     def callback(step, state, record):
         nonlocal stopped
-        stopped = 0 < cfg.stop_after_step <= step
-        if stopped or (cfg.checkpoint_every
-                       and step % cfg.checkpoint_every == 0):
+        stop = 0 < cfg.stop_after_step <= step
+        if stop or (cfg.checkpoint_every
+                    and step % cfg.checkpoint_every == 0):
             tmp = ckpt_path + ".tmp"  # renamed whole, never left half written
             save_pauli_sum(state, tmp, {"step": step, "tau": repr(record.tau)})
             os.replace(tmp, ckpt_path)
-        return stopped
+        stopped = stop and step < schedule.n_steps
+        return stop
 
     status = "completed"
     error_text = ""
     try:
-        state, trajectory = run_itpp(
+        _, trajectory = run_itpp(
             hamiltonian, schedule, policy,
             observables=[s for _, s in obs],
             reference_energy=reference,
@@ -395,21 +397,10 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
     except TraceCollapseError as err:
         status = "trace-collapse"
         error_text = str(err)
-        state = None
-        trajectory = err.trajectory if err.trajectory is not None else Trajectory()
+        trajectory = err.trajectory or ()
     if stopped:
         status = "interrupted"
-
-    header = trajectory_header(cfg, reference, ref_source,
-                               [label for label, _ in obs])
-    with open(traj_path, "w") as f:
-        for line in header:
-            f.write(line + "\n")
-        for row in kept_rows:
-            f.write(row + "\n")
-        for record in trajectory:
-            f.write(record_row(record) + "\n")
-            max_terms = max(max_terms, record.n_terms)
+    rows = kept_rows + [record_row(record) for record in trajectory]
 
     summary = {
         "status": status,
@@ -421,19 +412,23 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
         "reference_energy": reference,
         "reference_source": ref_source,
     }
-    if len(trajectory):
-        final = trajectory.final
+    if rows:
+        cells = [row.split(",") for row in rows]
+        tau, energy, rel_error, n_terms, purity, wall = cells[-1][:6]
         summary.update({
-            "final_tau": final.tau,
-            "final_energy": final.energy,
-            "final_rel_error": final.relative_error,
-            "final_n_terms": final.n_terms,
-            "final_purity": final.purity,
-            "max_n_terms": max_terms,
-            "total_wall_time_s": final.wall_time_s,
+            "final_tau": tau,
+            "final_energy": energy,
+            "final_rel_error": rel_error,
+            "final_n_terms": n_terms,
+            "final_purity": purity,
+            "max_n_terms": max(int(c[3]) for c in cells),
+            "total_wall_time_s": wall,
         })
     if error_text:
         summary["error"] = error_text
+    header = trajectory_header(cfg, reference, ref_source,
+                               [label for label, _ in obs])
+    write_trajectory(os.path.join(cfg.out_dir, "trajectory.csv"), header, rows)
     write_summary(os.path.join(cfg.out_dir, "summary.txt"), summary)
     return summary
 
@@ -443,16 +438,20 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run_itpp(args) -> int:
-    summary = run_single(build_run_config(args))
+def report(summary: dict) -> int:
+    """Print a run's status and final values; exit status 1 on a collapse."""
     print(f"status = {summary['status']}")
     if "final_energy" in summary:
-        print(f"final_energy = {_fmt(summary['final_energy'])}")
+        print(f"final_energy = {summary['final_energy']}")
         print(f"final_n_terms = {summary['final_n_terms']}")
     if summary["status"] == "trace-collapse":
         print(f"error: {summary['error']}", file=sys.stderr)
         return 1
     return 0
+
+
+def cmd_run_itpp(args) -> int:
+    return report(run_single(build_run_config(args)))
 
 
 def cmd_resume(args) -> int:
@@ -495,9 +494,7 @@ def cmd_resume(args) -> int:
     if cfg.record_per_gate:
         per_step = len(hamiltonian.gated_terms())
     kept_rows = kept_rows[:1 + step * per_step]
-    summary = run_single(cfg, resume_from=(state, step, kept_rows))
-    print(f"status = {summary['status']}")
-    return 0 if summary["status"] != "trace-collapse" else 1
+    return report(run_single(cfg, resume_from=(state, step, kept_rows)))
 
 
 def cmd_exact(args) -> int:
@@ -524,24 +521,17 @@ def cmd_exact(args) -> int:
     header = trajectory_header(cfg, reference, ref_source,
                                [label for label, _ in obs])
     for filename, curve in curves:
+        rows = []
+        for tau, values, purity in zip(curve.taus, curve.values,
+                                       curve.purities):
+            energy = values[0]
+            rel = (abs(energy - reference) / abs(reference)
+                   if reference else None)
+            # n_terms has no dense meaning; wall time is not tracked
+            rows.append(record_row(TrajectoryRecord(
+                tau, energy, rel, None, purity, None, tuple(values[1:]))))
         path = os.path.join(cfg.out_dir, filename)
-        with open(path, "w") as f:
-            for line in header:
-                f.write(line + "\n")
-            for t in range(len(curve.taus)):
-                energy = curve.values[t, 0]
-                rel = (abs(energy - reference) / abs(reference)
-                       if reference else None)
-                cells = [
-                    _fmt(float(curve.taus[t])),
-                    _fmt(float(energy)),
-                    _fmt(rel),
-                    "",  # n_terms has no dense meaning
-                    _fmt(float(curve.purities[t])),
-                    "",  # wall time not tracked for references
-                ]
-                cells += [_fmt(float(v)) for v in curve.values[t, 1:]]
-                f.write(",".join(cells) + "\n")
+        write_trajectory(path, header, rows)
         print(f"wrote {path}")
     return 0
 

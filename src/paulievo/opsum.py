@@ -46,7 +46,8 @@ from .pauli import (
 # |coefficient| are treated as numerical zeros after a merge
 MERGE_DROP_RELATIVE = 1e-15
 
-DEFAULT_TRACE_EPS = 1e-300
+# |identity coefficient| at or below which trace normalization fails
+TRACE_EPS = 1e-300
 
 CHECKPOINT_FORMAT = "pauli-sum v1"
 
@@ -244,10 +245,6 @@ class PauliSum:
         return self._keys.shape[0]
 
     @property
-    def n_terms(self) -> int:
-        return self._keys.shape[0]
-
-    @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self._coeffs)
 
@@ -406,13 +403,13 @@ def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
     return a
 
 
-def normalize_by_trace(a: PauliSum, *, eps: float = DEFAULT_TRACE_EPS) -> PauliSum:
+def normalize_by_trace(a: PauliSum) -> PauliSum:
     """Divide by the identity coefficient so that ``tr(A) = 1`` exactly."""
     tr = normalized_trace(a)
-    if abs(tr) <= eps:
+    if abs(tr) <= TRACE_EPS:
         raise TraceCollapseError(
-            f"identity coefficient {tr!r} is below {eps!r}; the truncated "
-            "state lost its trace"
+            f"identity coefficient {tr!r} is below {TRACE_EPS!r}; the "
+            "truncated state lost its trace"
         )
     if tr == 1.0:
         return a

@@ -140,9 +140,9 @@ class TrajectoryRecord:
     tau: float
     energy: float
     relative_error: float | None
-    n_terms: int
+    n_terms: int | None
     purity: float
-    wall_time_s: float
+    wall_time_s: float | None
     observable_values: tuple[float, ...] = ()
 
 
@@ -498,10 +498,14 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
 
     ``initial_state``/``start_step`` resume an interrupted run from a
     checkpoint; ``step_callback(step, state, record)`` runs after each step
-    and may return True to stop early.  ``drop_relative`` is passed to every
-    gate (see :func:`apply_imaginary_gate`); ``0.0`` keeps every float
-    residue, which untruncated support censuses need.  Returns the final
-    state and the trajectory of the steps executed here.
+    and may return True to stop early; True after the last step ends
+    nothing, since every step has run.  A trace collapse, after a gate or at
+    the step-end threshold, raises :class:`TraceCollapseError` naming the
+    step (and the gate) and carrying the trajectory recorded so far.
+    ``drop_relative`` is passed to every gate (see
+    :func:`apply_imaginary_gate`); ``0.0`` keeps every float residue, which
+    untruncated support censuses need.  Returns the final state and the
+    trajectory of the steps executed here.
     """
     if len(hamiltonian) == 0:
         raise ValueError("empty Hamiltonian")
@@ -533,38 +537,35 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
             observable_values=obs,
         )
 
+    def normalized(state: PauliSum, step: int,
+                   gate: int | None = None) -> PauliSum:
+        """:func:`normalize_by_trace`, naming where a collapse happened:
+        after gate number ``gate`` of ``step``, or at its step-end cut."""
+        try:
+            return normalize_by_trace(state)
+        except TraceCollapseError as err:
+            where = (" (step-end threshold)" if gate is None else
+                     f", gate {gate}/{len(gates)} "
+                     f"(generator {gates[gate - 1].generator})")
+            raise TraceCollapseError(
+                f"trace collapsed at Trotter step {step + 1}{where}: {err}",
+                step_index=step + 1, gate_index=gate, trajectory=trajectory,
+            ) from err
+
     if start_step == 0:
         trajectory.append(make_record(0.0))
 
     for step in range(start_step, schedule.n_steps):
-        for gate_index, gate in enumerate(gates):
-            state = apply_imaginary_gate(state, gate,
-                                         drop_relative=drop_relative,
-                                         policy=gate_policy)
-            try:
-                state = normalize_by_trace(state)
-            except TraceCollapseError as err:
-                raise TraceCollapseError(
-                    f"trace collapsed at Trotter step {step + 1}, gate "
-                    f"{gate_index + 1}/{len(gates)} "
-                    f"(generator {gate.generator}): {err}",
-                    step_index=step + 1,
-                    gate_index=gate_index + 1,
-                    trajectory=trajectory,
-                ) from err
-            if record_per_gate and gate_index + 1 < len(gates):
-                frac = step + (gate_index + 1) / len(gates)
+        for number, gate in enumerate(gates, 1):
+            state = normalized(
+                apply_imaginary_gate(state, gate, drop_relative=drop_relative,
+                                     policy=gate_policy),
+                step, number)
+            if record_per_gate and number < len(gates):
+                frac = step + number / len(gates)
                 trajectory.append(make_record(frac * schedule.delta_tau))
         if step_policy is not None:
-            try:
-                state = normalize_by_trace(truncate(state, step_policy))
-            except TraceCollapseError as err:
-                raise TraceCollapseError(
-                    f"trace collapsed at Trotter step {step + 1} "
-                    f"(step-end threshold): {err}",
-                    step_index=step + 1,
-                    trajectory=trajectory,
-                ) from err
+            state = normalized(truncate(state, step_policy), step)
         record = make_record((step + 1) * schedule.delta_tau)
         trajectory.append(record)
         if step_callback is not None and step_callback(step + 1, state, record):

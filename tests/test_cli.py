@@ -351,6 +351,20 @@ class TestRunItpp:
         assert float(rows[-1][6]) == pytest.approx(math.tanh(0.3), abs=1e-12)
 
 
+    @pytest.mark.parametrize("stop, status", [
+        ("5", "completed"),  # every step of tau 0.2 ran
+        ("3", "interrupted"),
+    ])
+    def test_stop_at_last_step_is_completed(self, tmp_path, stop, status):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--stop-after-step", stop, "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith(f"status = {status}\n")
+        assert f"status = {status}\n" in (out / "summary.txt").read_text()
+        assert f"\nstep = {stop}\n" in (out / "checkpoint.psum").read_text()
+
+
 class TestResume:
     def test_resume_matches_uninterrupted(self, tmp_path):
         full, inter = tmp_path / "full", tmp_path / "inter"
@@ -478,6 +492,64 @@ class TestResume:
         first = (out / "checkpoint.psum").read_text().splitlines()
         assert first[0] == "# pauli-sum v1"
 
+    def test_resume_at_final_step_keeps_final_values(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--checkpoint-every", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        keys = ("final_tau", "final_energy", "final_rel_error",
+                "final_n_terms", "final_purity", "max_n_terms")
+
+        def finals():
+            lines = (out / "summary.txt").read_text().splitlines()
+            return {k: v for k, _, v in (line.partition(" = ")
+                                         for line in lines) if k in keys}
+
+        before = finals()
+        assert set(before) == set(keys)
+        res = run_cli("resume", str(out))
+        assert res.returncode == 0, res.stderr
+        assert finals() == before
+        assert res.stdout == (
+            "status = completed\n"
+            f"final_energy = {before['final_energy']}\n"
+            f"final_n_terms = {before['final_n_terms']}\n"
+        )
+
+    def test_resume_trace_collapse_reports_error(self, tmp_path):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--stop-after-step", "2", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        config = out / "config.ini"
+        text = config.read_text()
+        assert "truncation = none\n" in text
+        config.write_text(text.replace("truncation = none\n",
+                                       "truncation = threshold=10\n"))
+        res = run_cli("resume", str(out))
+        assert res.returncode == 1
+        assert "error: trace collapsed at Trotter step 3" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout.startswith("status = trace-collapse\n")
+        assert "status = trace-collapse" in (out / "summary.txt").read_text()
+
+    def test_resume_per_gate_matches_uninterrupted(self, tmp_path):
+        full, inter = tmp_path / "full", tmp_path / "inter"
+        flags = ("--N", "4", "--tau-final", "0.4", "--record-per-gate")
+        res = run_cli("run-itpp", *flags, "--out-dir", str(full))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("run-itpp", *flags, "--stop-after-step", "3",
+                      "--out-dir", str(inter))
+        assert res.returncode == 0, res.stderr
+        _, partial = read_rows(inter / "trajectory.csv")
+        res = run_cli("resume", str(inter))
+        assert res.returncode == 0, res.stderr
+        _, rows = read_rows(full / "trajectory.csv")
+        assert len(rows) == 1 + 10 * 7  # tau=0, then 7 gates per step
+        assert len(partial) == 1 + 3 * 7
+        assert read_rows(inter / "trajectory.csv") == \
+            read_rows(full / "trajectory.csv")
+
 
 class TestExact:
     def test_single_qubit_energy_column(self, tmp_path):
@@ -515,6 +587,22 @@ class TestExact:
         assert len(run_rows) == len(tr_rows)
         for a, b in zip(run_rows, tr_rows):
             assert float(a[1]) == pytest.approx(float(b[1]), abs=1e-10)
+
+    def test_header_and_empty_cells_match_run_itpp(self, tmp_path):
+        flags = ("--N", "4", "--tau-final", "0.4")
+        res = run_cli("run-itpp", *flags, "--out-dir", str(tmp_path / "run"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("exact", *flags, "--out-dir", str(tmp_path / "exact"))
+        assert res.returncode == 0, res.stderr
+        run_header, _ = read_rows(tmp_path / "run" / "trajectory.csv")
+        for name in ("exact_ite.csv", "trotter_ite.csv"):
+            header, rows = read_rows(tmp_path / "exact" / name,
+                                     blank_wall_time=False)
+            assert header == run_header
+            assert len(rows) == 11
+            for cells in rows:
+                assert len(cells) == 6
+                assert cells[3] == "" and cells[5] == ""
 
 
 class TestBdg:

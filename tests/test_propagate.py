@@ -693,6 +693,27 @@ class TestRunItpp:
         assert err.value.step_index == 1
         assert err.value.gate_index == 1
 
+    @pytest.mark.parametrize("policy, start_step, where, gate_index", [
+        (Threshold(10.0), 0, "step 1 (step-end threshold)", None),
+        (Threshold(10.0, gate_fraction=1), 0,
+         "step 1, gate 1/3 (generator ZZ)", 1),
+        (Threshold(10.0), 3, "step 4 (step-end threshold)", None),
+    ])
+    def test_trace_collapse_message_names_the_place(self, policy, start_step,
+                                                    where, gate_index):
+        h = build_tfim(TfimParams(N=2, J=1.0, h=0.5))
+        with pytest.raises(TraceCollapseError) as err:
+            run_itpp(h, ScheduleConfig(0.04, 1.0), policy,
+                     initial_state=PauliSum.identity(2),
+                     start_step=start_step)
+        assert str(err.value) == (
+            f"trace collapsed at Trotter {where}: identity coefficient 0.0 "
+            "is below 1e-300; the truncated state lost its trace"
+        )
+        assert err.value.step_index == start_step + 1
+        assert err.value.gate_index == gate_index
+        assert len(err.value.trajectory) == (1 if start_step == 0 else 0)
+
     def test_gate_fraction_one_freezes_growth(self):
         # full-height per-gate thresholding tests each new string before
         # sibling gates can add their contributions, so the retained basis
