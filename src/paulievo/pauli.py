@@ -289,12 +289,60 @@ def take_rows(keys: np.ndarray, where: np.ndarray) -> np.ndarray:
     return row_view(keys)[where].view(np.uint64).reshape(-1, keys.shape[1])
 
 
+def _composite_keys(table: np.ndarray, queries: np.ndarray | None = None):
+    """One ``uint64`` per two-word row that orders like the row itself.
+
+    ``table`` must be sorted by its first word.  A row's composite key is
+    ``rank << b | w1 >> (64 - b)``: ``rank`` is the dense rank of its first
+    word among the table's first words, and ``b`` counts the bits of word 1
+    down to the lowest bit set in any row of ``table`` or ``queries``, so
+    the bits shifted out are zero in every row.  A query takes the rank of
+    the first table word not below its own; ``present`` marks the queries
+    whose first word is in the table.
+
+    Returns ``(table_keys, query_keys, present)``, the last two ``None``
+    without queries, or ``None`` when rank and word-1 bits may not fit in
+    64 bits together.
+    """
+    first, second = table[:, 0], table[:, 1]
+    used = int(np.bitwise_or.reduce(second))
+    if queries is not None:
+        used |= int(np.bitwise_or.reduce(queries[:, 1]))
+    trailing_zeros = (used & -used).bit_length() - 1
+    bits = 64 - trailing_zeros if used else 0
+    # ranks run up to the number of rows, and a rank shift of 64 would wrap
+    if bits + (table.shape[0] + 1).bit_length() > 64:
+        return None
+    # with no bit used, every word 1 is zero, so the capped shift reads 0
+    rank_shift, low_shift = np.uint64(bits), np.uint64(min(64 - bits, 63))
+    change = first[1:] != first[:-1]
+    rank = np.zeros(table.shape[0], dtype=np.uint64)
+    np.cumsum(change, dtype=np.uint64, out=rank[1:])
+    table_keys = (rank << rank_shift) | (second >> low_shift)
+    if queries is None:
+        return table_keys, None, None
+    distinct = first[np.concatenate(([True], change))]
+    query_first = queries[:, 0]
+    query_rank = np.searchsorted(distinct, query_first)
+    present = distinct[np.minimum(query_rank, distinct.size - 1)] == query_first
+    # an absent first word takes the rank of the next word up, with zero low
+    # bits, so the query sorts before every row of that rank
+    low = np.where(present, queries[:, 1] >> low_shift, np.uint64(0))
+    query_keys = (query_rank.astype(np.uint64) << rank_shift) | low
+    return table_keys, query_keys, present
+
+
 def canonical_argsort(keys: np.ndarray) -> np.ndarray:
     """Stable argsort of packed rows in canonical (integer) order."""
     if keys.shape[1] == 1:
         return np.argsort(keys[:, 0], kind="stable")
-    # lexsort beats sorting the byte-string view here: wide keys end in zero
-    # bytes, which slow the string comparisons down
+    if keys.shape[1] == 2:
+        # two stable sorts keep equal rows in input order, as lexsort does,
+        # which the summing of duplicate rows relies on
+        by_first = np.argsort(keys[:, 0], kind="stable")
+        composite = _composite_keys(take_rows(keys, by_first))
+        if composite is not None:
+            return by_first[np.argsort(composite[0], kind="stable")]
     return np.lexsort(tuple(keys[:, w] for w in reversed(range(keys.shape[1]))))
 
 
@@ -304,20 +352,33 @@ def find_rows(sorted_keys: np.ndarray,
 
     Returns ``(position, found)``: the insertion position of every query
     and whether the row at that position equals it.
+
+    Only the window of rows whose first word lies in the queries' range
+    can match, so a lookup costs the window, not the table.  One-word rows
+    are searched as their ``uint64`` column.  Two-word rows are searched
+    by their composite keys over the window (:func:`_composite_keys`),
+    unless rank and word-1 bits overflow 64 bits; then, and for wider
+    rows, the window and the queries are compared as big-endian byte
+    strings.
     """
     if queries.shape[0] == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
-    # only rows whose first word lies in the queries' range can match, so
-    # just that window is searched (and, for wide rows, converted)
     first = sorted_keys[:, 0]
     lo = int(np.searchsorted(first, queries[:, 0].min(), side="left"))
     hi = int(np.searchsorted(first, queries[:, 0].max(), side="right"))
-    table = _row_order_view(sorted_keys[lo:hi])
-    wanted = _row_order_view(queries)
-    pos = np.searchsorted(table, wanted)
     if hi == lo:
-        return pos + lo, np.zeros(wanted.shape[0], dtype=bool)
-    found = table[np.minimum(pos, hi - lo - 1)] == wanted
+        return (np.full(queries.shape[0], lo, dtype=np.intp),
+                np.zeros(queries.shape[0], dtype=bool))
+    window = sorted_keys[lo:hi]
+    composite = (_composite_keys(window, queries)
+                 if sorted_keys.shape[1] == 2 else None)
+    if composite is None:
+        table, wanted = _row_order_view(window), _row_order_view(queries)
+        present = True
+    else:
+        table, wanted, present = composite
+    pos = np.searchsorted(table, wanted)
+    found = present & (table[np.minimum(pos, hi - lo - 1)] == wanted)
     return pos + lo, found
 
 

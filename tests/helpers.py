@@ -22,6 +22,29 @@ from paulievo import (
 from paulievo.oracle import pauli_matrix, pauli_sum_matrix
 
 
+def lexsort_argsort(keys: np.ndarray) -> np.ndarray:
+    """Reference for :func:`paulievo.pauli.canonical_argsort`: a stable
+    ``lexsort`` over the words, last word as the least significant key."""
+    return np.lexsort(tuple(keys[:, w] for w in reversed(range(keys.shape[1]))))
+
+
+def bytestring_find_rows(sorted_keys: np.ndarray, queries: np.ndarray):
+    """Reference for :func:`paulievo.pauli.find_rows`: ``searchsorted`` of
+    the queries over the whole table, both as big-endian byte strings, which
+    compare like the integers they encode."""
+    def as_bytes(keys):
+        big_endian = np.ascontiguousarray(keys, dtype=">u8")
+        return big_endian.view(f"S{8 * keys.shape[1]}")[:, 0]
+
+    if sorted_keys.shape[0] == 0:
+        return (np.zeros(queries.shape[0], dtype=np.intp),
+                np.zeros(queries.shape[0], dtype=bool))
+    table, wanted = as_bytes(sorted_keys), as_bytes(queries)
+    pos = np.searchsorted(table, wanted)
+    found = table[np.minimum(pos, table.shape[0] - 1)] == wanted
+    return pos, found
+
+
 def run_cli(*args, env_extra=None, cwd=None):
     env = os.environ.copy()
     if env_extra:

@@ -18,6 +18,7 @@ from paulievo import (
 )
 from paulievo.pauli import (
     QUBITS_PER_WORD,
+    _composite_keys,
     anticommute_mask,
     canonical_argsort,
     find_rows,
@@ -29,6 +30,7 @@ from paulievo.pauli import (
     row_weights,
     split_xz_bits,
     unpack_string,
+    valid_key_mask,
     words_to_key,
 )
 
@@ -372,3 +374,112 @@ class TestFindRows:
         for i, s in enumerate(queries):
             assert bool(found[i]) == (s.key in member_set)
             assert int(pos[i]) == bisect.bisect_left(members, s.key)
+
+
+TWO_WORD_WIDTHS = [33, 40, 48, 63, 64, 65, 70]
+
+
+def random_keys(rng, n, size, *, first_words, zero_second, repeats):
+    """``size`` distinct random keys of width ``n`` as Python ints, plus
+    ``repeats`` copies of drawn ones, shuffled.  ``first_words > 0`` draws
+    the first word from that many values; ``zero_second`` sets word 1 to
+    zero (qubits 32 and up all ``I``)."""
+    width = n_words(n)
+    mask = valid_key_mask(n)
+    pool = [int(w) for w in rng.integers(0, 2**64, size=first_words,
+                                         dtype=np.uint64)]
+    keys = set()
+    for _ in range(size):
+        words = [int(w) for w in rng.integers(0, 2**64, size=width,
+                                              dtype=np.uint64)]
+        if pool:
+            words[0] = pool[int(rng.integers(len(pool)))]
+        if zero_second:
+            words[1] = 0
+        keys.add(words_to_key(words) & mask)
+    keys = sorted(keys)
+    if keys:
+        keys += [keys[int(i)] for i in rng.integers(len(keys), size=repeats)]
+    rng.shuffle(keys)
+    return keys
+
+
+def pack_keys(keys, n):
+    return pack_strings([PauliString(n, k) for k in keys], n)
+
+
+key_tables = dict(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 40),
+    first_words=st.integers(0, 4),
+    zero_second=st.booleans(),
+)
+
+
+class TestWideRowKernels:
+    """Sort and lookup of rows of two or more words against Python ints:
+    ``sorted`` by (key, input position) and ``bisect``.  At two words both
+    kernels run on one composite ``uint64`` per row unless its bits
+    overflow; wider rows and overflowing tables take the general path."""
+
+    @pytest.mark.parametrize("n", TWO_WORD_WIDTHS)
+    @given(repeats=st.integers(0, 10), **key_tables)
+    def test_sort_is_stable_canonical_order(self, n, seed, size,
+                                            first_words, zero_second,
+                                            repeats):
+        rng = np.random.default_rng(seed)
+        keys = random_keys(rng, n, size, first_words=first_words,
+                           zero_second=zero_second, repeats=repeats)
+        order = canonical_argsort(pack_keys(keys, n))
+        assert order.tolist() == sorted(range(len(keys)),
+                                        key=lambda i: (keys[i], i))
+
+    @pytest.mark.parametrize("n", TWO_WORD_WIDTHS)
+    @given(n_queries=st.integers(0, 30), **key_tables)
+    def test_lookup_matches_bisect(self, n, seed, size, first_words,
+                                   zero_second, n_queries):
+        rng = np.random.default_rng(seed)
+        members = sorted(set(random_keys(
+            rng, n, size, first_words=first_words, zero_second=zero_second,
+            repeats=0)))
+        queries = random_keys(rng, n, n_queries, first_words=0,
+                              zero_second=False, repeats=0)
+        queries += members[:n_queries]
+        # queries whose first word is absent: below, between and above the
+        # table's first words, with a random word 1
+        shift = 64 * (n_words(n) - 1)
+        firsts = sorted({k >> shift for k in members})
+        absent = {0, 2**64 - 1}
+        absent.update(f + 1 for f in firsts if f + 1 < 2**64)
+        absent.update(f - 1 for f in firsts if f > 0)
+        absent.difference_update(firsts)
+        tails = random_keys(rng, n, len(absent), first_words=0,
+                            zero_second=False, repeats=0)
+        low = (1 << shift) - 1
+        queries += [(f << shift) | (t & low)
+                    for f, t in zip(sorted(absent), tails)]
+        pos, found = find_rows(pack_keys(members, n), pack_keys(queries, n))
+        member_set = set(members)
+        assert found.tolist() == [q in member_set for q in queries]
+        assert pos.tolist() == [bisect.bisect_left(members, q)
+                                for q in queries]
+
+    @pytest.mark.parametrize("n", [63, 64])
+    def test_overflowing_bit_budget_takes_general_path(self, n):
+        # the last qubit's Z uses the lowest bits of word 1, which leave
+        # too few bits for the ranks of 40 distinct first words
+        rng = np.random.default_rng(n)
+        last_z = PauliString(n, 1 << (128 - 2 * n)).key
+        keys = [k | last_z for k in random_keys(
+            rng, n, 40, first_words=0, zero_second=False, repeats=5)]
+        table = pack_keys(keys, n)
+        assert _composite_keys(table[canonical_argsort(table)]) is None
+        order = canonical_argsort(table)
+        assert order.tolist() == sorted(range(len(keys)),
+                                        key=lambda i: (keys[i], i))
+        members = sorted(set(keys))
+        queries = keys[:10] + [k ^ last_z for k in keys[:10]]
+        pos, found = find_rows(pack_keys(members, n), pack_keys(queries, n))
+        assert found.tolist() == [True] * 10 + [False] * 10
+        assert pos.tolist() == [bisect.bisect_left(members, q)
+                                for q in queries]

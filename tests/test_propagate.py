@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import paulievo
+import paulievo.opsum as opsum_module
 import paulievo.propagate as propagate_module
 from paulievo import (
     DimensionMismatchError,
@@ -60,8 +61,10 @@ from paulievo.propagate import split_policy_by_cadence
 
 from helpers import (
     all_pauli_texts,
+    bytestring_find_rows,
     dense,
     itpp_loop_oracle,
+    lexsort_argsort,
     random_pauli_sum,
     random_pauli_text,
     squared_state_oracle,
@@ -1156,3 +1159,33 @@ class TestReachableSupport:
         # heavy acceptance tier confirms the same number from a real run
         h = build_tfim(TfimParams(N=12, J=1.0, h=0.5))
         assert reachable_support_size(h) == 2_704_156
+
+
+class TestTwoWordKernelsInRun:
+    """Runs on two-word keys equal, bit for bit, runs whose sort and lookup
+    are the reference ``lexsort`` and byte-string kernels."""
+
+    @pytest.mark.parametrize("n, policy", [
+        (40, FixedK(512)),
+        (33, Threshold(2 ** -6)),
+    ])
+    def test_run_matches_reference_kernels(self, monkeypatch, n, policy):
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.04, 0.12)
+
+        def run():
+            state, traj = run_itpp(h, sched, policy)
+            return (state, [(r.energy, r.n_terms) for r in traj],
+                    expectation_squared_state(h.to_sum(), state))
+
+        state, records, estimate = run()
+        for module in (propagate_module, opsum_module):
+            monkeypatch.setattr(module, "canonical_argsort", lexsort_argsort)
+            monkeypatch.setattr(module, "find_rows", bytestring_find_rows)
+        ref_state, ref_records, ref_estimate = run()
+        assert len(records) == 4 and len(state) > 1
+        assert np.array_equal(state._keys, ref_state._keys)
+        assert np.array_equal(state._coeffs, ref_state._coeffs)
+        assert np.array_equal(state._indices, ref_state._indices)
+        assert records == ref_records
+        assert estimate == ref_estimate
