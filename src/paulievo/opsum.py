@@ -20,6 +20,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import re
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 
@@ -49,7 +51,9 @@ MERGE_DROP_RELATIVE = 1e-15
 # |identity coefficient| at or below which trace normalization fails
 TRACE_EPS = 1e-300
 
-CHECKPOINT_FORMAT = "pauli-sum v1"
+CHECKPOINT_FORMAT = "pauli-sum v2"
+# the decimal format before it, still read
+CHECKPOINT_FORMAT_V1 = "pauli-sum v1"
 
 # default ``Threshold.gate_fraction``: the provisional cut after every gate
 # is this fraction of the step-end ``delta``.  It is the largest of 2^-8,
@@ -64,6 +68,9 @@ THRESHOLD_GATE_FRACTION = 2.0 ** -6
 CHECKPOINT_BLOCK_ROWS = 1 << 14
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# byte -> its two hex digits, one uint16 holding their two ASCII bytes
+_HEX_PAIRS = np.stack([np.repeat(_HEX_DIGITS, 16), np.tile(_HEX_DIGITS, 16)],
+                      axis=1).view(np.uint16)[:, 0]
 # byte -> hex digit value; 16 marks a byte that is not a hex digit
 _HEX_VALUES = np.full(256, 16, dtype=np.uint8)
 _HEX_VALUES[np.frombuffer(b"0123456789", dtype=np.uint8)] = np.arange(10)
@@ -425,15 +432,24 @@ def normalize_by_trace(a: PauliSum) -> PauliSum:
 
 def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
                    extra_header: Mapping[str, object] | None = None) -> None:
-    """Write a sum as text: a versioned header followed by one term per row.
+    """Write a sum as text: a versioned header, one fixed-width row per
+    term, then a trailer line.
 
-    Rows are ``<hex x_bits> <hex z_bits> <coefficient> <insertion index>``
-    in canonical string order; the hex fields are lowercase and
-    ``ceil(n_qubits / 4)`` digits wide, and coefficients use 17 significant
-    digits, which round-trips float64 exactly.
+    The header is ``# pauli-sum v2``, ``n_qubits = N``, ``n_terms = n`` and
+    one ``key = value`` line per extra field.  Rows are ``<x> <z> <c> <i>``
+    and a newline, in canonical string order, all in lowercase hex: the x
+    and z bits in ``ceil(N / 4)`` digits each, qubit 0 most significant,
+    then the 16 digits of the coefficient's IEEE-754 bits and the 16 digits
+    of the insertion index's two's-complement bits, so every value
+    round-trips exactly.  A row is therefore ``2 * ceil(N / 4) + 36`` bytes.
+    The trailer is ``# rows = n crc32 = <8 hex digits>``, the ``zlib.crc32``
+    of the row bytes, newlines included.  Rows are rendered a block of
+    ``CHECKPOINT_BLOCK_ROWS`` at a time, as one ``uint8`` matrix.
     """
     if not a.is_real:
         raise TypeError("only real-coefficient sums are serialized")
+    fields, seps = _row_columns(a.n_qubits)
+    width = int(seps[-1]) + 1
     own = isinstance(dest, str)
     f = open(dest, "w") if own else dest
     try:
@@ -442,16 +458,21 @@ def save_pauli_sum(a: PauliSum, dest: Union[str, TextIO],
         f.write(f"n_terms = {len(a)}\n")
         for k, v in (extra_header or {}).items():
             f.write(f"{k} = {v}\n")
-        digits = _hex_digits(a.n_qubits)
+        crc = 0
         for start in range(0, len(a), CHECKPOINT_BLOCK_ROWS):
             stop = start + CHECKPOINT_BLOCK_ROWS
             x, z = split_xz_bits(a._keys[start:stop], a.n_qubits)
-            f.write("".join([
-                "%s %s %.17e %d\n" % row for row in zip(
-                    _to_hex(x, digits), _to_hex(z, digits),
-                    a._coeffs[start:stop].tolist(),
-                    a._indices[start:stop].tolist())
-            ]))
+            block = np.empty((x.shape[0], width), dtype=np.uint8)
+            block[:, seps] = _SEPARATORS
+            for field, data in zip(fields, (
+                    _bits_to_bytes(x), _bits_to_bytes(z),
+                    _words_to_bytes(a._coeffs[start:stop]),
+                    _words_to_bytes(a._indices[start:stop]))):
+                block[:, field] = _to_hex(data, field.stop - field.start)
+            text = block.tobytes()
+            crc = zlib.crc32(text, crc)
+            f.write(text.decode("ascii"))
+        f.write(_trailer(len(a), crc))
     finally:
         if own:
             f.close()
@@ -461,14 +482,194 @@ def _hex_digits(n_qubits: int) -> int:
     return (n_qubits + 3) // 4
 
 
-def _to_hex(bits: np.ndarray, digits: int) -> list[str]:
-    """Fixed-width lowercase hex of bit columns (qubit 0 most significant)."""
-    m, n_qubits = bits.shape
-    padded = np.zeros((m, 4 * digits), dtype=np.uint8)
-    padded[:, 4 * digits - n_qubits:] = bits
-    nibbles = np.packbits(padded.reshape(m, digits, 4), axis=2)[:, :, 0] >> 4
-    text = _HEX_DIGITS[nibbles].tobytes().decode("ascii")
-    return [text[i:i + digits] for i in range(0, len(text), digits)]
+# the bytes that end the x, z, coefficient and index fields of a v2 row
+_SEPARATORS = np.frombuffer(b"   \n", dtype=np.uint8)
+
+_TRAILER = re.compile(r"# rows = (\d+) crc32 = ([0-9a-f]{8})\n")
+
+
+def _trailer(n_rows: int, crc: int) -> str:
+    return f"# rows = {n_rows} crc32 = {crc:08x}\n"
+
+
+def _row_columns(n_qubits: int) -> tuple[list[slice], np.ndarray]:
+    """Column slices of the x, z, coefficient and index fields of a v2 row,
+    and the columns of the separator that ends each (the last one is the
+    newline, so the row is one column longer than it)."""
+    digits = _hex_digits(n_qubits)
+    fields, start = [], 0
+    for size in (digits, digits, 16, 16):
+        fields.append(slice(start, start + size))
+        start += size + 1
+    return fields, np.array([f.stop for f in fields])
+
+
+def _bits_to_bytes(bits: np.ndarray) -> np.ndarray:
+    """Bit columns (column 0 most significant) as big-endian bytes, zero
+    bits padding the first byte."""
+    m, n = bits.shape
+    padded = np.zeros((m, -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, padded.shape[1] - n:] = bits
+    # rows are whole bytes, so packing the flat array keeps them apart
+    return np.packbits(padded).reshape(m, -1)
+
+
+def _words_to_bytes(values: np.ndarray) -> np.ndarray:
+    """The 64-bit patterns of a float64 or int64 column as big-endian
+    bytes."""
+    words = np.ascontiguousarray(values.view(np.uint64), dtype=">u8")
+    return words.view(np.uint8).reshape(-1, 8)
+
+
+def _to_hex(data: np.ndarray, digits: int) -> np.ndarray:
+    """Lowercase hex of big-endian byte rows: the last ``digits`` digits,
+    as an ``(m, digits)`` matrix of ASCII bytes."""
+    m, k = data.shape
+    text = np.take(_HEX_PAIRS, data).view(np.uint8).reshape(m, 2 * k)
+    return text[:, 2 * k - digits:]
+
+
+def _from_hex(raw: np.ndarray, n_bits: int):
+    """Inverse of :func:`_to_hex` for an ``(m, digits)`` matrix of bytes
+    holding ``n_bits``-bit numbers: big-endian byte rows, with two row
+    masks: rows holding a byte that is not a hex digit, and rows that set
+    bits above ``n_bits`` in the padding of their first digit."""
+    m, digits = raw.shape
+    nibbles = np.take(_HEX_VALUES, raw)
+    malformed = (nibbles > 15).any(axis=1)
+    padding = (nibbles[:, 0] >> (n_bits - 4 * (digits - 1))) != 0
+    # a malformed nibble (16) overflows here; its row is rejected anyway
+    data = np.empty((m, (digits + 1) // 2), dtype=np.uint8)
+    odd = digits % 2
+    data[:, :odd] = nibbles[:, :odd]
+    data[:, odd:] = (nibbles[:, odd::2] << 4) | nibbles[:, odd + 1::2]
+    return data, malformed, padding
+
+
+def _keys_from_hex(x_raw: np.ndarray, z_raw: np.ndarray, n_qubits: int):
+    """Packed rows from the x and z hex digit matrices, with the masks of
+    :func:`_from_hex` over both fields."""
+    x, bad_x, high_x = _from_hex(x_raw, n_qubits)
+    z, bad_z, high_z = _from_hex(z_raw, n_qubits)
+    m = x.shape[0]
+    keys = join_xz_bits(np.unpackbits(x).reshape(m, -1)[:, -n_qubits:],
+                        np.unpackbits(z).reshape(m, -1)[:, -n_qubits:])
+    return keys, bad_x | bad_z, high_x | high_z
+
+
+def _words_from_hex(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 64-bit patterns of 16-digit hex fields as ``uint64``, and the
+    rows that are not 16 hex digits."""
+    data, malformed, _ = _from_hex(raw, 64)
+    words = np.ascontiguousarray(data).view(">u8")[:, 0]
+    return words.astype(np.uint64), malformed
+
+
+def _raise_first_bad(first_row: int, checks) -> None:
+    """Raise ``ValueError`` naming the first row of a block that fails one
+    of ``checks``, ``(mask, message)`` pairs in the order their messages
+    take precedence; a message may be a function of the row's position in
+    the block."""
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if not bad.any():
+        return
+    j = int(np.argmax(bad))
+    for mask, message in checks:
+        if mask[j]:
+            text = message(j) if callable(message) else message
+            raise ValueError(f"checkpoint row {first_row + j}: {text}")
+
+
+def _hex_checks(n_qubits: int, bad_xz, high_xz, coeffs) -> list:
+    return [
+        (bad_xz, f"x or z field is not {_hex_digits(n_qubits)} hex digits"),
+        (high_xz, f"x or z field sets bits above {n_qubits} qubits"),
+        (~np.isfinite(coeffs),
+         lambda j: f"coefficient {float(coeffs[j])!r} is not finite"),
+    ]
+
+
+def _check_order(keys: np.ndarray) -> None:
+    # gates and lookups trust sorted, unique rows, so a file that breaks
+    # the order is rejected rather than loaded
+    unsorted = rows_out_of_order(keys)
+    if unsorted.size:
+        i = int(unsorted[0])
+        raise ValueError(
+            f"checkpoint row {i} is not above row {i - 1} in canonical "
+            "order; rows must be sorted and unique"
+        )
+
+
+def _read_rows(raw: np.ndarray, first_row: int, n_qubits: int,
+               keys: np.ndarray, coeffs: np.ndarray,
+               indices: np.ndarray) -> None:
+    """Parse a block of v2 rows, an ``(m, width)`` byte matrix, into the
+    given output slices, raising ``ValueError`` that names the absolute row
+    of the first bad one."""
+    fields, seps = _row_columns(n_qubits)
+    block_keys, bad_xz, high_xz = _keys_from_hex(raw[:, fields[0]],
+                                                 raw[:, fields[1]], n_qubits)
+    c, bad_c = _words_from_hex(raw[:, fields[2]])
+    i, bad_i = _words_from_hex(raw[:, fields[3]])
+    c = c.view(np.float64)
+    _raise_first_bad(first_row, [
+        ((raw[:, seps] != _SEPARATORS).any(axis=1),
+         f"a separator or the newline is out of place in its "
+         f"{int(seps[-1]) + 1} bytes"),
+        (bad_c | bad_i, "coefficient or index field is not 16 hex digits"),
+    ] + _hex_checks(n_qubits, bad_xz, high_xz, c))
+    keys[:] = block_keys
+    coeffs[:] = c
+    indices[:] = i.view(np.int64)
+
+
+def _read_v2(f: TextIO, n_qubits: int, n_terms: int, left: int):
+    """The rows and trailer of a v2 checkpoint whose header declares
+    ``n_terms`` rows and is followed by ``left`` bytes."""
+    fields, seps = _row_columns(n_qubits)
+    width = int(seps[-1]) + 1
+    exact = left == n_terms * width + len(_trailer(n_terms, 0))
+    # when the size is off, parse the rows the file can hold, so that a row
+    # of the wrong length is named; only then blame the header
+    rows = n_terms if exact else max(0, min(n_terms, left // width))
+    keys = np.zeros((rows, n_words(n_qubits)), dtype=np.uint64)
+    coeffs = np.zeros(rows, dtype=np.float64)
+    indices = np.zeros(rows, dtype=np.int64)
+    crc = 0
+    for start in range(0, rows, CHECKPOINT_BLOCK_ROWS):
+        wanted = min(CHECKPOINT_BLOCK_ROWS, rows - start)
+        # one byte per character; a non-ASCII one becomes "?", which no
+        # field accepts
+        text = f.read(wanted * width).encode("ascii", "replace")
+        crc = zlib.crc32(text, crc)
+        got = len(text) // width
+        stop = start + got
+        raw = np.frombuffer(text, dtype=np.uint8, count=got * width)
+        _read_rows(raw.reshape(got, width), start, n_qubits,
+                   keys[start:stop], coeffs[start:stop], indices[start:stop])
+        if got < wanted:
+            raise ValueError(f"checkpoint row {stop}: the file ends inside "
+                             "this row")
+    if not exact:
+        raise ValueError(
+            f"checkpoint header: n_terms = {n_terms} does not match the "
+            f"{left} bytes after the header (rows of {width} bytes, then "
+            "the trailer)"
+        )
+    _check_order(keys)
+    trailer = f.read()
+    match = _TRAILER.fullmatch(trailer)
+    if match is None:
+        raise ValueError(f"checkpoint trailer {trailer!r} is not "
+                         f"'# rows = {n_terms} crc32 = ' and 8 hex digits")
+    if int(match[1]) != n_terms:
+        raise ValueError(f"checkpoint trailer: rows = {match[1]}, but the "
+                         f"header declares n_terms = {n_terms}")
+    if int(match[2], 16) != crc:
+        raise ValueError(f"checkpoint trailer: crc32 {match[2]} does not "
+                         f"match the rows, whose crc32 is {crc:08x}")
+    return keys, coeffs, indices
 
 
 def _row_dtype(n_qubits: int) -> np.dtype:
@@ -478,25 +679,10 @@ def _row_dtype(n_qubits: int) -> np.dtype:
                      ("i", np.int64)])
 
 
-def _from_hex(tokens: np.ndarray, n_qubits: int):
-    """Bit columns of hex tokens, with two row masks: tokens that are not
-    exactly ``ceil(n_qubits / 4)`` hex digits, and tokens that set bits
-    above ``n_qubits`` in the padding of their first digit."""
-    digits = _hex_digits(n_qubits)
-    raw = np.ascontiguousarray(tokens).view(np.uint8).reshape(-1, digits + 1)
-    # a short token ends in NUL padding, which decodes as no digit
-    nibbles = _HEX_VALUES[raw[:, :digits]]
-    malformed = (raw[:, digits] != 0) | (nibbles > 15).any(axis=1)
-    padding = (nibbles[:, 0] >> (n_qubits - 4 * (digits - 1))) != 0
-    bits = np.unpackbits(nibbles[:, :, None], axis=2)[:, :, 4:]
-    bits = bits.reshape(-1, 4 * digits)[:, 4 * digits - n_qubits:]
-    return bits, malformed, padding
-
-
-def _read_rows(lines: list[str], first_row: int, n_qubits: int,
-               keys: np.ndarray, coeffs: np.ndarray,
-               indices: np.ndarray) -> None:
-    """Parse checkpoint rows into the given output slices, raising
+def _read_v1_rows(lines: list[str], first_row: int, n_qubits: int,
+                  keys: np.ndarray, coeffs: np.ndarray,
+                  indices: np.ndarray) -> None:
+    """Parse v1 checkpoint rows into the given output slices, raising
     ``ValueError`` that names the absolute row of the first bad line."""
     parsed = None
     # loadtxt warns on input with no data at all
@@ -512,62 +698,95 @@ def _read_rows(lines: list[str], first_row: int, n_qubits: int,
         if len(lines) == 1:
             raise ValueError(f"malformed checkpoint row {first_row}")
         for j, line in enumerate(lines):
-            _read_rows([line], first_row + j, n_qubits, keys[j:j + 1],
-                       coeffs[j:j + 1], indices[j:j + 1])
+            _read_v1_rows([line], first_row + j, n_qubits, keys[j:j + 1],
+                          coeffs[j:j + 1], indices[j:j + 1])
         return
-    x, bad_x, high_x = _from_hex(parsed["x"], n_qubits)
-    z, bad_z, high_z = _from_hex(parsed["z"], n_qubits)
-    finite = np.isfinite(parsed["c"])
-    bad = bad_x | bad_z | high_x | high_z | ~finite
-    if bad.any():
-        j = int(np.argmax(bad))
-        row = first_row + j
-        if bad_x[j] or bad_z[j]:
-            raise ValueError(
-                f"checkpoint row {row}: x or z field is not "
-                f"{_hex_digits(n_qubits)} hex digits"
-            )
-        if high_x[j] or high_z[j]:
-            raise ValueError(
-                f"checkpoint row {row}: x or z field sets bits above "
-                f"{n_qubits} qubits"
-            )
-        raise ValueError(
-            f"checkpoint row {row}: coefficient {float(parsed['c'][j])!r} "
-            "is not finite"
-        )
-    keys[:] = join_xz_bits(x, z)
+    digits = _hex_digits(n_qubits)
+    x = np.ascontiguousarray(parsed["x"]).view(np.uint8).reshape(-1, digits + 1)
+    z = np.ascontiguousarray(parsed["z"]).view(np.uint8).reshape(-1, digits + 1)
+    # a short token ends in NUL padding, which decodes as no digit
+    block_keys, bad_xz, high_xz = _keys_from_hex(x[:, :digits], z[:, :digits],
+                                                 n_qubits)
+    bad_xz |= (x[:, digits] != 0) | (z[:, digits] != 0)
+    _raise_first_bad(first_row,
+                     _hex_checks(n_qubits, bad_xz, high_xz, parsed["c"]))
+    keys[:] = block_keys
     coeffs[:] = parsed["c"]
     indices[:] = parsed["i"]
+
+
+def _read_v1(f: TextIO, n_qubits: int, n_terms: int, left: int):
+    """The rows of a v1 checkpoint whose header declares ``n_terms`` rows
+    and is followed by ``left`` characters."""
+    # allocate no more rows than the file can hold: a row is at least two
+    # hex fields, a one-character coefficient and index, three separators
+    # and a newline, which the last row may omit
+    min_row = 2 * _hex_digits(n_qubits) + 6
+    if n_terms < 0 or n_terms * min_row - 1 > left:
+        raise ValueError(
+            f"checkpoint header: n_terms = {n_terms} does not fit in "
+            f"the {left} characters after the header"
+        )
+    keys = np.zeros((n_terms, n_words(n_qubits)), dtype=np.uint64)
+    coeffs = np.zeros(n_terms, dtype=np.float64)
+    indices = np.zeros(n_terms, dtype=np.int64)
+    for start in range(0, n_terms, CHECKPOINT_BLOCK_ROWS):
+        wanted = min(CHECKPOINT_BLOCK_ROWS, n_terms - start)
+        lines = list(itertools.islice(f, wanted))
+        stop = start + len(lines)
+        _read_v1_rows(lines, start, n_qubits, keys[start:stop],
+                      coeffs[start:stop], indices[start:stop])
+        if len(lines) < wanted:
+            raise ValueError(f"malformed checkpoint row {stop}")
+    if f.read().strip():
+        raise ValueError(
+            f"checkpoint row {n_terms}: content after the {n_terms} "
+            "rows the header declares"
+        )
+    _check_order(keys)
+    return keys, coeffs, indices
 
 
 def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     """Inverse of :func:`save_pauli_sum`; returns the sum and extra header
     fields.  Insertion indices are restored as saved, so a run resumed from
-    the checkpoint continues its lineage exactly.
+    the checkpoint continues its lineage exactly.  Files of the earlier
+    format ``pauli-sum v1`` (decimal coefficients and indices, rows of any
+    width, no trailer) load too.
 
-    Rows are parsed in blocks of ``CHECKPOINT_BLOCK_ROWS``.  Raises
-    ``ValueError`` naming the ``n_terms`` header when it is negative or
-    more rows than the rest of the file can hold, which is checked before
-    anything is allocated.  Raises ``ValueError`` naming the first bad row
-    when a row does not have four fields (or is blank or missing), when a
-    hex field is not exactly ``ceil(n_qubits / 4)`` hex digits or sets bits
-    above ``n_qubits``, when a coefficient or index does not parse or a
-    coefficient is not finite, when non-blank content follows the
-    ``n_terms`` declared rows, and when the rows are not strictly
-    increasing in canonical order (out of order or repeated).
+    Rows are parsed in blocks of ``CHECKPOINT_BLOCK_ROWS``; no more rows
+    are allocated than the rest of the file can hold.  Raises
+    ``ValueError`` naming the ``n_terms`` header when it is negative or,
+    for v2, when the bytes after the header are not exactly ``n_terms``
+    rows and the trailer (v1: more rows than they can hold); a v2 file of
+    the wrong size has the rows it can hold checked first, so that a row
+    one byte short or long is named instead.  Raises
+    ``ValueError`` naming the first bad row when a v2 row has a separator
+    or its newline out of place (a row of the wrong length shows so) or a
+    field that is not hex (a non-ASCII byte included), when a v1 row does
+    not have four fields (or is blank or missing), when a hex field is not
+    exactly ``ceil(n_qubits / 4)`` digits or sets bits above ``n_qubits``,
+    when a v1 coefficient or index does not parse, when a coefficient is
+    not finite, when v1 content follows the ``n_terms`` declared rows, and
+    when the rows are not strictly increasing in canonical order (out of
+    order or repeated).  Raises ``ValueError`` naming the trailer when a
+    v2 trailer is malformed, counts other than ``n_terms`` rows, or holds a
+    crc32 other than that of the rows.
     """
     own = isinstance(src, str)
-    f = open(src) if own else src
+    # newline="": v2 rows are read as the bytes they are, "\r" included
+    f = open(src, newline="", errors="surrogateescape") if own else src
     try:
         first = f.readline().strip()
-        if first != f"# {CHECKPOINT_FORMAT}":
+        readers = {f"# {CHECKPOINT_FORMAT}": _read_v2,
+                   f"# {CHECKPOINT_FORMAT_V1}": _read_v1}
+        if first not in readers:
             raise ValueError(f"unrecognized checkpoint header: {first!r}")
         header: dict[str, str] = {}
         n_qubits = n_terms = None
         pos = f.tell()
         line = f.readline()
-        while line and "=" in line:
+        while line and "=" in line and not line.startswith("#"):
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
             if key == "n_qubits":
@@ -582,47 +801,12 @@ def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
             raise ValueError("checkpoint header missing n_qubits/n_terms")
         if n_qubits < 1:
             raise ValueError(f"checkpoint header: n_qubits = {n_qubits}")
-        # allocate no more rows than the file can hold: a row is at least
-        # two hex fields, a one-character coefficient and index, three
-        # separators and a newline, which the last row may omit (the bytes
-        # left are at least the characters left)
         left = f.seek(0, io.SEEK_END) - pos
-        min_row = 2 * _hex_digits(n_qubits) + 6
-        if n_terms < 0 or n_terms * min_row - 1 > left:
-            raise ValueError(
-                f"checkpoint header: n_terms = {n_terms} does not fit in "
-                f"the {left} characters after the header"
-            )
         f.seek(pos)
-        width = n_words(n_qubits)
-        keys = np.zeros((n_terms, width), dtype=np.uint64)
-        coeffs = np.zeros(n_terms, dtype=np.float64)
-        indices = np.zeros(n_terms, dtype=np.int64)
-        for start in range(0, n_terms, CHECKPOINT_BLOCK_ROWS):
-            wanted = min(CHECKPOINT_BLOCK_ROWS, n_terms - start)
-            lines = list(itertools.islice(f, wanted))
-            stop = start + len(lines)
-            _read_rows(lines, start, n_qubits, keys[start:stop],
-                       coeffs[start:stop], indices[start:stop])
-            if len(lines) < wanted:
-                raise ValueError(f"malformed checkpoint row {stop}")
-        if f.read().strip():
-            raise ValueError(
-                f"checkpoint row {n_terms}: content after the {n_terms} "
-                "rows the header declares"
-            )
+        keys, coeffs, indices = readers[first](f, n_qubits, n_terms, left)
     finally:
         if own:
             f.close()
-    # gates and lookups trust sorted, unique rows, so a file that breaks
-    # the order is rejected rather than loaded
-    unsorted = rows_out_of_order(keys)
-    if unsorted.size:
-        i = int(unsorted[0])
-        raise ValueError(
-            f"checkpoint row {i} is not above row {i - 1} in canonical "
-            "order; rows must be sorted and unique"
-        )
     out = PauliSum._from_raw(n_qubits, keys, coeffs, indices)
     return out, header
 

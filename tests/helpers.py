@@ -1,8 +1,10 @@
 """Shared test utilities: random operators, dense references, CLI driving."""
 
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from itertools import product as iterproduct
 
 import numpy as np
@@ -20,6 +22,7 @@ from paulievo import (
     truncate,
 )
 from paulievo.oracle import pauli_matrix, pauli_sum_matrix
+from paulievo.pauli import key_to_words, n_words, rows_out_of_order, words_to_key
 
 
 def lexsort_argsort(keys: np.ndarray) -> np.ndarray:
@@ -161,3 +164,103 @@ def itpp_loop_oracle(hamiltonian, schedule, gate_policies, step_policies):
             state = normalize_by_trace(state)
         records.append((expectation(h_sum, state), len(state)))
     return state, records
+
+
+# ---------------------------------------------------------------------------
+# The per-row checkpoint writer and reader of the v1 format, which the
+# block-streamed ones replaced, kept as the v1 reader's oracle and as the
+# way tests write v1 files.  The only addition is in the reader: an error
+# raised while a row is parsed is re-raised naming that row, so the two
+# readers' failures compare by row.
+# ---------------------------------------------------------------------------
+
+
+def oracle_save(a, f, extra_header=None):
+    f.write("# pauli-sum v1\n")
+    f.write(f"n_qubits = {a.n_qubits}\n")
+    f.write(f"n_terms = {len(a)}\n")
+    for k, v in (extra_header or {}).items():
+        f.write(f"{k} = {v}\n")
+    digits = (a.n_qubits + 3) // 4
+    for row, c, idx in zip(a._keys, a._coeffs, a._indices):
+        p = PauliString(a.n_qubits, words_to_key(row))
+        f.write(
+            f"{p.x_bits:0{digits}x} {p.z_bits:0{digits}x} "
+            f"{c:.17e} {int(idx)}\n"
+        )
+
+
+def oracle_load(f):
+    first = f.readline().strip()
+    if first != "# pauli-sum v1":
+        raise ValueError(f"unrecognized checkpoint header: {first!r}")
+    header = {}
+    n_qubits = n_terms = None
+    pos = f.tell()
+    line = f.readline()
+    while line and "=" in line:
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key == "n_qubits":
+            n_qubits = int(val)
+        elif key == "n_terms":
+            n_terms = int(val)
+        else:
+            header[key] = val
+        pos = f.tell()
+        line = f.readline()
+    if n_qubits is None or n_terms is None:
+        raise ValueError("checkpoint header missing n_qubits/n_terms")
+    f.seek(pos)
+    width = n_words(n_qubits)
+    keys = np.zeros((n_terms, width), dtype=np.uint64)
+    coeffs = np.zeros(n_terms, dtype=np.float64)
+    indices = np.zeros(n_terms, dtype=np.int64)
+    for i in range(n_terms):
+        try:
+            parts = f.readline().split()
+            if len(parts) != 4:
+                raise ValueError(f"malformed checkpoint row {i}")
+            x, z = int(parts[0], 16), int(parts[1], 16)
+            p = PauliString.from_xz(x, z, n_qubits)
+            keys[i] = key_to_words(p.key, width)
+            coeffs[i] = float(parts[2])
+            indices[i] = int(parts[3])
+        except (ValueError, OverflowError) as err:
+            raise ValueError(f"checkpoint row {i}: {err}") from err
+    if f.read().strip():
+        raise ValueError(
+            f"checkpoint row {n_terms}: content after the {n_terms} "
+            "rows the header declares"
+        )
+    unsorted = rows_out_of_order(keys)
+    if unsorted.size:
+        i = int(unsorted[0])
+        raise ValueError(
+            f"checkpoint row {i} is not above row {i - 1} in canonical "
+            "order; rows must be sorted and unique"
+        )
+    return PauliSum._from_raw(n_qubits, keys, coeffs, indices), header
+
+
+def oracle_save_v2(a, f, extra_header=None):
+    """Per-row writer of the v2 format from Python ints: the hex of the x
+    and z bits, of the coefficient's IEEE-754 bits and of the index's
+    two's-complement bits, then the trailer with the crc32 of the rows."""
+    f.write("# pauli-sum v2\n")
+    f.write(f"n_qubits = {a.n_qubits}\n")
+    f.write(f"n_terms = {len(a)}\n")
+    for k, v in (extra_header or {}).items():
+        f.write(f"{k} = {v}\n")
+    d = (a.n_qubits + 3) // 4
+    rows = []
+    for row, c, idx in zip(a._keys, a._coeffs, a._indices):
+        p = PauliString(a.n_qubits, words_to_key(row))
+        x, z = p.x_bits, p.z_bits
+        cbits, = struct.unpack("<Q", struct.pack("<d", float(c)))
+        rows.append(
+            f"{x:0{d}x} {z:0{d}x} {cbits:016x} {int(idx) & (2**64 - 1):016x}\n"
+        )
+    text = "".join(rows)
+    f.write(text)
+    f.write(f"# rows = {len(a)} crc32 = {zlib.crc32(text.encode()):08x}\n")

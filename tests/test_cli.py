@@ -9,6 +9,7 @@ from dataclasses import fields
 import pytest
 
 from paulievo import FixedK, TfimParams, Threshold, WeightCutoff, bdg_ground_energy
+from paulievo import load_pauli_sum, save_pauli_sum
 from paulievo import cli
 from paulievo.cli import (
     CONFIG_SECTIONS,
@@ -23,7 +24,7 @@ from paulievo.cli import (
     write_config_echo,
 )
 
-from helpers import read_rows, run_cli
+from helpers import oracle_save, read_rows, run_cli
 
 
 class TestPolicyParsing:
@@ -451,21 +452,58 @@ class TestResume:
         assert "stop_after_step" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    def test_resume_index_overflow_exits_2(self, tmp_path):
+    @staticmethod
+    def _resume_with_top_index(tmp_path, save):
+        """Resume a run whose checkpoint, rewritten by ``save``, holds the
+        largest index that leaves no room for the next gate's."""
         out = tmp_path / "inter"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
                       "--stop-after-step", "5", "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         ckpt = out / "checkpoint.psum"
-        lines = ckpt.read_text().splitlines(keepends=True)
+        state, extras = load_pauli_sum(str(ckpt))
         top = 2 ** 63 - 2
-        cells = lines[-1].split()
-        lines[-1] = " ".join(cells[:-1] + [str(top)]) + "\n"
-        ckpt.write_text("".join(lines))
+        state._indices[-1] = top
+        with open(ckpt, "w") as f:
+            save(state, f, extras)
         res = run_cli("resume", str(out))
         assert res.returncode == 2
         assert f"error: largest insertion index {top}" in res.stderr
         assert "Traceback" not in res.stderr
+
+    def test_resume_index_overflow_exits_2(self, tmp_path):
+        self._resume_with_top_index(tmp_path, save_pauli_sum)
+
+    def test_resume_index_overflow_exits_2_v1(self, tmp_path):
+        self._resume_with_top_index(tmp_path, oracle_save)
+
+    def test_v1_checkpoint_resumes(self, tmp_path):
+        """A run stopped at a v1 checkpoint resumes to the same trajectory
+        and final state as from the v2 one and as the uninterrupted run."""
+        flags = ("--N", "6", "--truncation", "fixed_k=64", "--tau-final",
+                 "0.4", "--checkpoint-every", "2")
+        dirs = {name: tmp_path / name for name in ("full", "v1", "v2")}
+        res = run_cli("run-itpp", *flags, "--out-dir", str(dirs["full"]))
+        assert res.returncode == 0, res.stderr
+        for name in ("v1", "v2"):
+            res = run_cli("run-itpp", *flags, "--stop-after-step", "4",
+                          "--out-dir", str(dirs[name]))
+            assert res.returncode == 0, res.stderr
+        ckpt = dirs["v1"] / "checkpoint.psum"
+        state, extras = load_pauli_sum(str(ckpt))
+        assert extras == {"step": "4", "tau": repr(4 * 0.04)}
+        with open(ckpt, "w") as f:
+            oracle_save(state, f, extras)
+        assert ckpt.read_text().startswith("# pauli-sum v1\n")
+        for name in ("v1", "v2"):
+            res = run_cli("resume", str(dirs[name]))
+            assert res.returncode == 0, res.stderr
+        expected = read_rows(dirs["full"] / "trajectory.csv")
+        final = (dirs["full"] / "checkpoint.psum").read_bytes()
+        assert "\nstep = 10\n" in final.decode()
+        for name in ("v1", "v2"):
+            assert read_rows(dirs[name] / "trajectory.csv") == expected
+            assert (dirs[name] / "checkpoint.psum").read_bytes() == final
 
     def test_checkpoint_written_once_per_step(self, tmp_path, monkeypatch):
         steps = []
@@ -490,7 +528,7 @@ class TestResume:
         assert res.returncode == 0, res.stderr
         assert (out / "checkpoint.psum").exists()
         first = (out / "checkpoint.psum").read_text().splitlines()
-        assert first[0] == "# pauli-sum v1"
+        assert first[0] == "# pauli-sum v2"
 
     def test_resume_at_final_step_keeps_final_values(self, tmp_path):
         out = tmp_path / "run"

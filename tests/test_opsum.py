@@ -2,6 +2,8 @@
 
 import io
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -32,19 +34,15 @@ from paulievo import (
     truncate,
 )
 from paulievo.opsum import CHECKPOINT_BLOCK_ROWS, dumps_pauli_sum
-from paulievo.pauli import (
-    PauliString,
-    key_to_words,
-    n_words,
-    rows_out_of_order,
-    valid_key_mask,
-    words_to_key,
-)
+from paulievo.pauli import key_to_words, n_words, valid_key_mask
 
 from helpers import (
     dense,
     dense_terms,
     normalized_trace_dense,
+    oracle_load,
+    oracle_save,
+    oracle_save_v2,
     product_terms,
     random_pauli_sum,
     squared_state_oracle,
@@ -430,20 +428,24 @@ class TestSerialization:
         a = PauliSum.from_terms(2, [(0.5, "XZ"), (1.0, "II")])
         text = dumps_pauli_sum(a)
         lines = text.splitlines()
-        assert lines[0] == "# pauli-sum v1"
+        assert lines[0] == "# pauli-sum v2"
         assert lines[1] == "n_qubits = 2"
         assert lines[2] == "n_terms = 2"
-        # canonical order puts the identity first; x/z hex then coefficient
-        assert lines[3].startswith("0 0 1.0")
+        # canonical order puts the identity first; x/z hex then the hex of
+        # the coefficient's bits and of the index's, 2 * 1 + 36 bytes a row
+        assert lines[3].startswith("0 0 3ff0000000000000 ")
         x_hex, z_hex, coeff, idx = lines[4].split()
         assert (int(x_hex, 16), int(z_hex, 16)) == (0b10, 0b01)
-        assert float(coeff) == 0.5
+        assert struct.unpack(">d", bytes.fromhex(coeff))[0] == 0.5
+        assert [len(line) + 1 for line in lines[3:5]] == [38, 38]
+        rows = "".join(line + "\n" for line in lines[3:5]).encode()
+        assert lines[5:] == [f"# rows = 2 crc32 = {zlib.crc32(rows):08x}"]
 
-    def test_coefficients_have_17_significant_digits(self):
+    def test_coefficient_field_is_the_float_bits(self):
         a = PauliSum.from_terms(1, [(1 / 3, "Z"), (1.0, "I")])
-        row = dumps_pauli_sum(a).splitlines()[-1]
-        mantissa = row.split()[2].split("e")[0]
-        assert len(mantissa.replace("-", "").replace(".", "")) >= 17
+        row = dumps_pauli_sum(a).splitlines()[-2]
+        bits, = struct.unpack("<Q", struct.pack("<d", 1 / 3))
+        assert row.split()[2] == f"{bits:016x}" == "3fd5555555555555"
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(73)
@@ -479,7 +481,9 @@ class TestSerialization:
         pad = "I" * (n - 3)
         a = PauliSum.from_terms(n, [(1.0, "III" + pad), (0.5, "ZII" + pad),
                                     (0.25, "IXI" + pad), (0.125, "ZZZ" + pad)])
-        lines = dumps_pauli_sum(a).splitlines(keepends=True)
+        v1 = io.StringIO()
+        oracle_save(a, v1)
+        lines = v1.getvalue().splitlines(keepends=True)
         head, rows = lines[:3], lines[3:]
         assert head[2] == "n_terms = 4\n"
 
@@ -498,87 +502,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="row 4 is not above row 3"):
             load("".join(repeated + rows + rows[-1:]))
 
+        # v2: the same cases, the rows followed by their trailer
+        lines = dumps_pauli_sum(a).splitlines(keepends=True)
+        head, rows, trailer = lines[:3], lines[3:-1], lines[-1:]
+        assert head[2] == "n_terms = 4\n" and len(rows) == 4
+        assert load("".join(head + rows + trailer))[0] == a
+        swapped = rows[:1] + [rows[2], rows[1]] + rows[3:]
+        with pytest.raises(ValueError, match="row 2 is not above row 1"):
+            load("".join(head + swapped + trailer))
+        # v2 files are written whole, so nothing may follow the trailer
+        for extra in (rows[-1:], ["\n"]):
+            with pytest.raises(ValueError, match="header: n_terms = 4 does"):
+                load("".join(head + rows + trailer + extra))
+        repeated = ["n_terms = 5\n" if line == head[2] else line
+                    for line in head]
+        with pytest.raises(ValueError, match="row 4 is not above row 3"):
+            load("".join(repeated + rows + rows[-1:] + trailer))
+
     def test_complex_rejected(self):
         z = PauliSum.from_terms(1, [(1.0, "Z")])
         iz = PauliSum(1, z._keys, np.array([1j]), z._indices)
         with pytest.raises(TypeError):
             dumps_pauli_sum(iz)
-
-
-# ---------------------------------------------------------------------------
-# The per-row checkpoint writer and reader that the block-streamed ones
-# replaced, kept as their oracle.  The only addition is in the reader: an
-# error raised while a row is parsed is re-raised naming that row, so the
-# two readers' failures compare by row.
-# ---------------------------------------------------------------------------
-
-
-def oracle_save(a, f, extra_header=None):
-    f.write("# pauli-sum v1\n")
-    f.write(f"n_qubits = {a.n_qubits}\n")
-    f.write(f"n_terms = {len(a)}\n")
-    for k, v in (extra_header or {}).items():
-        f.write(f"{k} = {v}\n")
-    digits = (a.n_qubits + 3) // 4
-    for row, c, idx in zip(a._keys, a._coeffs, a._indices):
-        p = PauliString(a.n_qubits, words_to_key(row))
-        f.write(
-            f"{p.x_bits:0{digits}x} {p.z_bits:0{digits}x} "
-            f"{c:.17e} {int(idx)}\n"
-        )
-
-
-def oracle_load(f):
-    first = f.readline().strip()
-    if first != "# pauli-sum v1":
-        raise ValueError(f"unrecognized checkpoint header: {first!r}")
-    header = {}
-    n_qubits = n_terms = None
-    pos = f.tell()
-    line = f.readline()
-    while line and "=" in line:
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "n_qubits":
-            n_qubits = int(val)
-        elif key == "n_terms":
-            n_terms = int(val)
-        else:
-            header[key] = val
-        pos = f.tell()
-        line = f.readline()
-    if n_qubits is None or n_terms is None:
-        raise ValueError("checkpoint header missing n_qubits/n_terms")
-    f.seek(pos)
-    width = n_words(n_qubits)
-    keys = np.zeros((n_terms, width), dtype=np.uint64)
-    coeffs = np.zeros(n_terms, dtype=np.float64)
-    indices = np.zeros(n_terms, dtype=np.int64)
-    for i in range(n_terms):
-        try:
-            parts = f.readline().split()
-            if len(parts) != 4:
-                raise ValueError(f"malformed checkpoint row {i}")
-            x, z = int(parts[0], 16), int(parts[1], 16)
-            p = PauliString.from_xz(x, z, n_qubits)
-            keys[i] = key_to_words(p.key, width)
-            coeffs[i] = float(parts[2])
-            indices[i] = int(parts[3])
-        except (ValueError, OverflowError) as err:
-            raise ValueError(f"checkpoint row {i}: {err}") from err
-    if f.read().strip():
-        raise ValueError(
-            f"checkpoint row {n_terms}: content after the {n_terms} "
-            "rows the header declares"
-        )
-    unsorted = rows_out_of_order(keys)
-    if unsorted.size:
-        i = int(unsorted[0])
-        raise ValueError(
-            f"checkpoint row {i} is not above row {i - 1} in canonical "
-            "order; rows must be sorted and unique"
-        )
-    return PauliSum._from_raw(n_qubits, keys, coeffs, indices), header
 
 
 def random_checkpoint_sum(n, rows, seed):
@@ -608,26 +553,32 @@ CHECKPOINT_WIDTHS = [1, 3, 4, 5, 12, 31, 32, 33, 40, 64, 65, 70]
 
 
 def assert_same_as_oracle(a):
-    """Save and load ``a`` both ways; text and arrays must be identical."""
+    """Save ``a``: the text must be the per-row v2 oracle's, and it must
+    load bit for bit.  The per-row v1 text must load the same arrays, and
+    the same through the per-row v1 reader."""
     extra = {"step": 3, "tau": repr(0.12)}
     expected = io.StringIO()
-    oracle_save(a, expected, extra)
+    oracle_save_v2(a, expected, extra)
     text = dumps_pauli_sum(a, extra)
     assert text == expected.getvalue()
+    v1 = io.StringIO()
+    oracle_save(a, v1, extra)
     b, header = load_pauli_sum(io.StringIO(text))
-    c, oracle_header = oracle_load(io.StringIO(text))
-    assert header == oracle_header == {"step": "3", "tau": "0.12"}
-    for loaded in (b, c):
+    b1, header1 = load_pauli_sum(io.StringIO(v1.getvalue()))
+    c, oracle_header = oracle_load(io.StringIO(v1.getvalue()))
+    assert header == header1 == oracle_header == {"step": "3", "tau": "0.12"}
+    for loaded in (b, b1, c):
         assert loaded.n_qubits == a.n_qubits
         assert np.array_equal(loaded._keys, a._keys)
-        assert np.array_equal(loaded._coeffs, a._coeffs)
+        assert np.array_equal(loaded._coeffs.view(np.uint64),
+                              a._coeffs.view(np.uint64))
         assert np.array_equal(loaded._indices, a._indices)
 
 
 class TestBlockStreamedCheckpoints:
     """The block-streamed checkpoint writer and reader against the per-row
-    oracle, at every hex padding and word boundary and around the block
-    size."""
+    oracles of both formats, at every hex padding and word boundary and
+    around the block size."""
 
     @given(n=st.sampled_from(CHECKPOINT_WIDTHS), block=st.integers(1, 4),
            rows=st.integers(0, 9), seed=st.integers(0, 2**32 - 1))
@@ -644,6 +595,11 @@ class TestBlockStreamedCheckpoints:
     def test_matches_per_row_oracle_at_block_size(self, n, rows):
         # n=7 has exactly CHECKPOINT_BLOCK_ROWS strings
         assert_same_as_oracle(random_checkpoint_sum(n, rows, 1000 + rows))
+
+    def test_signed_zero_and_subnormals_exact(self):
+        a = random_checkpoint_sum(12, 5, 7)
+        a._coeffs[:] = [-0.0, 0.0, 5e-324, -2.5e-308, -1.7976931348623157e308]
+        assert_same_as_oracle(a)
 
 
 def _corrupt_token(rows, r, edit):
@@ -703,10 +659,98 @@ CORRUPTIONS = [
 ]
 
 
+def _v2_field(rows, r, k, edit):
+    """Replace field ``k`` of v2 body row ``r`` by ``edit(field)``."""
+    parts = rows[r][:-1].split(" ")
+    parts[k] = edit(parts[k])
+    return rows[:r] + [" ".join(parts) + "\n"] + rows[r + 1:]
+
+
+def _flip_last_digit(field):
+    return field[:-1] + format(int(field[-1], 16) ^ 1, "x")
+
+
+# (name, edit of the v2 body rows and trailer, what the error names, what
+# it says); the corrupted row is 2 of 5, and the trailer is body line 5
+HEADER = "checkpoint header: n_terms = 5 does not match"
+TRAILER = "checkpoint trailer"
+OUT_OF_PLACE = "out of place"
+V2_CORRUPTIONS = [
+    *[(f"non-hex {field}", lambda body, k=k: _v2_field(
+        body, 2, k, lambda f: f[:-1] + "g"), "row 2", HEX)
+      for k, field in enumerate(("x", "z", "coefficient", "index"))],
+    ("separator replaced", lambda body: body[:2] + [
+        body[2].replace(" ", "\t", 1)] + body[3:], "row 2", OUT_OF_PLACE),
+    ("one byte short", lambda body: _v2_field(
+        body, 2, 3, lambda f: f[1:]), "row 2", OUT_OF_PLACE),
+    ("one byte long", lambda body: _v2_field(
+        body, 2, 3, lambda f: "0" + f), "row 2", OUT_OF_PLACE),
+    ("last row short", lambda body: _v2_field(
+        body, 4, 0, lambda f: f[1:]), "row 4", OUT_OF_PLACE),
+    ("non-ASCII character", lambda body: _v2_field(
+        body, 2, 2, lambda f: f[:-1] + "\xe9"), "row 2", HEX),
+    ("non-ASCII byte", lambda body: _v2_field(
+        body, 2, 2, lambda f: f[:-1] + "\udce9"), "row 2", HEX),
+    ("inf coefficient", lambda body: _v2_field(
+        body, 2, 2, lambda f: "7ff0000000000000"), "row 2", "not finite"),
+    ("nan coefficient", lambda body: _v2_field(
+        body, 2, 2, lambda f: "7ff8000000000000"), "row 2", "not finite"),
+    ("padding bit", lambda body: _v2_field(body, 2, 0, _set_padding_bit),
+     "row 2", "bits above"),
+    ("swapped pair", lambda body: body[:2] + [body[3], body[2]] + body[4:],
+     "row 3", "is not above row 2"),
+    ("repeated row", lambda body: body[:3] + [body[2]] + body[4:],
+     "row 3", "is not above row 2"),
+    ("missing trailer", lambda body: body[:5], HEADER, HEADER),
+    ("malformed trailer", lambda body: body[:5] + [
+        body[5].replace("crc32", "crc33")], TRAILER, "is not"),
+    ("wrong trailer count", lambda body: body[:5] + [
+        body[5].replace("rows = 5 ", "rows = 4 ")], TRAILER, "rows = 4"),
+    ("content after the trailer", lambda body: body + ["\n"], HEADER,
+     HEADER),
+    ("coefficient digit flipped", lambda body: _v2_field(
+        body, 2, 2, _flip_last_digit), TRAILER, "crc32"),
+]
+
+
+def _five_row_sum(n):
+    pad = "I" * (n - 3)
+    # row 2 has x bits 0...01, so its field is zeros ending in a 1
+    return PauliSum.from_terms(n, [
+        (1.0, pad + "III"), (0.5, pad + "IIZ"), (-0.25, pad + "IIX"),
+        (0.125, pad + "IXI"), (2.0 ** -40, pad + "YII")])
+
+
 class TestCorruptCheckpoints:
-    """Each corruption raises ``ValueError`` naming the row the per-row
-    oracle names; the oracle accepted some of them, and the block-streamed
-    reader rejects those on purpose."""
+    """Each corruption of a v1 file raises ``ValueError`` naming the row the
+    per-row oracle names; the oracle accepted some of them, and the
+    block-streamed reader rejects those on purpose.  Each corruption of a
+    v2 file raises ``ValueError`` naming its row, the header or the
+    trailer."""
+
+    @pytest.mark.parametrize("block", [2, CHECKPOINT_BLOCK_ROWS])
+    @pytest.mark.parametrize("n, name, edit, names, says", [
+        pytest.param(n, *case, id=f"{case[0]}-{n}")
+        for case in V2_CORRUPTIONS for n in (12, 33, 70)
+        # 4 | n leaves no padding bits
+        if case[0] != "padding bit" or n % 4
+    ])
+    def test_v2_rejected_naming_the_row(self, n, name, edit, names, says,
+                                        block, tmp_path):
+        lines = dumps_pauli_sum(_five_row_sum(n)).splitlines(keepends=True)
+        head, body = lines[:3], lines[3:]
+        assert len(body) == 6 and body[5].startswith("# rows = 5 crc32 = ")
+        text = "".join(head + edit(body))
+        # a file holds a non-ASCII character as more than one byte, and a
+        # lone surrogate as the byte it escapes
+        path = tmp_path / "state.psum"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsum_module, "CHECKPOINT_BLOCK_ROWS", block)
+            for src in (io.StringIO(text), str(path)):
+                with pytest.raises(ValueError, match=rf"{names}\b") as err:
+                    load_pauli_sum(src)
+                assert says in str(err.value)
 
     @pytest.mark.parametrize("block", [2, CHECKPOINT_BLOCK_ROWS])
     @pytest.mark.parametrize("n, name, edit, row, says, oracle_accepts", [
@@ -717,12 +761,9 @@ class TestCorruptCheckpoints:
     ])
     def test_rejected_naming_the_row(self, n, name, edit, row, says,
                                      oracle_accepts, block):
-        pad = "I" * (n - 3)
-        # row 2 has x bits 0...01, so its field is zeros ending in a 1
-        a = PauliSum.from_terms(n, [
-            (1.0, pad + "III"), (0.5, pad + "IIZ"), (-0.25, pad + "IIX"),
-            (0.125, pad + "IXI"), (2.0 ** -40, pad + "YII")])
-        lines = dumps_pauli_sum(a).splitlines(keepends=True)
+        v1 = io.StringIO()
+        oracle_save(_five_row_sum(n), v1)
+        lines = v1.getvalue().splitlines(keepends=True)
         head, rows = lines[:3], lines[3:]
         assert len(rows) == 5
         text = "".join(head + edit(rows))
@@ -736,6 +777,21 @@ class TestCorruptCheckpoints:
             with pytest.raises(ValueError, match=rf"row {row}\b") as err:
                 load_pauli_sum(io.StringIO(text))
         assert says in str(err.value)
+
+    @pytest.mark.parametrize("n", [33, 34, 35, 70])
+    def test_every_padding_bit_rejected(self, n):
+        a = _five_row_sum(n)
+        v1 = io.StringIO()
+        oracle_save(a, v1)
+        for text in (v1.getvalue(), dumps_pauli_sum(a)):
+            lines = text.splitlines(keepends=True)
+            for bit in range(n % 4, 4):
+                row = lines[5]
+                lines[5] = format(int(row[0], 16) | 1 << bit, "x") + row[1:]
+                with pytest.raises(ValueError, match=r"row 2: x or z field "
+                                   "sets bits above"):
+                    load_pauli_sum(io.StringIO("".join(lines)))
+                lines[5] = row
 
     @pytest.mark.parametrize("header, message", [
         ("# pauli-sum v2\nn_qubits = 3\nn_terms = 0\n", "header"),
