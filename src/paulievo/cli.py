@@ -289,6 +289,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_field(text: str, *, quoted: bool = False) -> str:
+    """One CSV field, RFC 4180 style: quoted when ``quoted`` or when it holds
+    a quote, comma or line break, with each inner quote doubled."""
+    if quoted or any(c in text for c in '",\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def reference_for(cfg: RunConfig, hamiltonian: Hamiltonian):
     """Ground-energy reference for the relative-error column.
 
@@ -588,10 +596,11 @@ def cmd_sweep(args) -> int:
                 "final_n_terms,max_n_terms,error\n")
         for raw, summary, error in results:
             if summary is None:
-                f.write(f"{raw},failed,,,,,,\"{error}\"\n")
+                f.write(f"{_csv_field(raw)},failed,,,,,,"
+                        f"{_csv_field(error, quoted=True)}\n")
             else:
                 f.write(",".join([
-                    raw,
+                    _csv_field(raw),
                     summary["status"],
                     _fmt(summary.get("final_tau")),
                     _fmt(summary.get("final_energy")),

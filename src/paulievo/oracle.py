@@ -10,6 +10,11 @@ out the ground energy before exponentiating.
 Conventions match the propagation engine: an accumulated imaginary time
 ``tau`` means the thermal state ``exp(-tau H) / Tr[exp(-tau H)]``, i.e.
 ``tau`` is the inverse temperature.
+
+scipy is imported inside the sparse exact diagonalization only
+(:func:`hamiltonian_sparse` and the Lanczos branch of :func:`ground_energy`,
+9 qubits up to the guard), so importing this module and every other
+reference here costs numpy alone.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from .models import Hamiltonian, TfimParams
 from .opsum import PauliSum
@@ -33,8 +36,6 @@ _SINGLE = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-
-_SINGLE_SPARSE = {k: sparse.csr_matrix(v) for k, v in _SINGLE.items()}
 
 
 class SizeGuardError(ValueError):
@@ -73,13 +74,16 @@ def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
     return out
 
 
-def hamiltonian_sparse(h: Hamiltonian) -> sparse.csr_matrix:
+def hamiltonian_sparse(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
+    import scipy.sparse as sparse
+
+    single = {k: sparse.csr_matrix(v) for k, v in _SINGLE.items()}
     dim = 2 ** h.n_qubits
     out = sparse.csr_matrix((dim, dim), dtype=np.complex128)
     for c, p in h.terms:
         m = sparse.csr_matrix(np.array([[1.0 + 0j]]))
         for q in range(h.n_qubits):
-            m = sparse.kron(m, _SINGLE_SPARSE[p.letter(q)], format="csr")
+            m = sparse.kron(m, single[p.letter(q)], format="csr")
         out = out + c * m
     return out
 
@@ -218,10 +222,12 @@ def ground_energy(h: Hamiltonian, *, max_qubits: int = DEFAULT_MAX_QUBITS
     _check_guard(h.n_qubits, max_qubits)
     if h.n_qubits <= 8:
         return float(np.linalg.eigvalsh(hamiltonian_matrix(h))[0])
+    import scipy.sparse.linalg
+
     mat = hamiltonian_sparse(h)
     dim = mat.shape[0]
     v0 = np.full(dim, 1.0 / np.sqrt(dim))
-    vals = sparse_linalg.eigsh(
+    vals = scipy.sparse.linalg.eigsh(
         mat, k=1, which="SA", v0=v0, maxiter=10000, return_eigenvectors=False
     )
     return float(vals[0].real)

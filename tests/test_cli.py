@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: artifacts, determinism, checkpoint/resume."""
 
 import configparser
+import csv
 import io
 import math
 import re
@@ -745,6 +746,21 @@ class TestSweep:
         assert data[0].startswith("-3,failed")
         assert "non-negative whole number" in data[0]
         assert data[1].startswith("3,completed")
+
+    def test_failed_value_with_quote_reads_back(self, tmp_path):
+        out = tmp_path / "sweep"
+        raw = '1e-3"x'
+        res = run_cli("sweep", "--N", "4", "--tau-final", "0.08",
+                      "--axis", "threshold", "--values", f"0.01,{raw}",
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        with open(out / "sweep.csv", newline="") as f:
+            rows = [r for r in csv.reader(f) if not r[0].startswith("#")]
+        assert rows[1][1] == "completed"
+        with pytest.raises(ConfigError) as err:
+            cli._number("axis threshold", raw)
+        assert rows[2] == [raw, "failed", "", "", "", "", "",
+                           f"ConfigError: {err.value}"]
 
     def test_empty_axis_usage_error(self, tmp_path):
         res = run_cli("sweep", "--N", "3", "--axis", "threshold",
