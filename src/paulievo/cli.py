@@ -251,10 +251,6 @@ def _config_from_texts(texts: dict) -> RunConfig:
     return RunConfig(**{k: _coerce(k, text) for k, text in texts.items()})
 
 
-def read_config_echo(path: str) -> RunConfig:
-    return _config_from_texts(load_config_file(path))
-
-
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit CLI flags."""
     config = getattr(args, "config", None)
@@ -471,6 +467,10 @@ def cmd_resume(args) -> int:
         raise ConfigError(f"no checkpoint in {run_dir}")
     texts = load_config_file(config_path)
     texts["stop_after_step"] = args.stop_after_step
+    # the run continues in the directory given, not in the out_dir the echo
+    # recorded: the directory may have moved since, and the echo does not
+    # keep blanks around a name
+    texts["out_dir"] = run_dir
     cfg = _config_from_texts(texts)
     state, extras = load_pauli_sum(ckpt_path)
     if "step" not in extras:

@@ -18,7 +18,6 @@ independently built sums.
 from __future__ import annotations
 
 import io
-import itertools
 import math
 import re
 import zlib
@@ -28,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO, Union
 import numpy as np
 
 from .pauli import (
+    QUBITS_PER_WORD,
     DimensionMismatchError,
     PauliString,
     canonical_argsort,
@@ -52,8 +52,10 @@ MERGE_DROP_RELATIVE = 1e-15
 TRACE_EPS = 1e-300
 
 CHECKPOINT_FORMAT = "pauli-sum v2"
-# the decimal format before it, still read
-CHECKPOINT_FORMAT_V1 = "pauli-sum v1"
+
+# the widest state a checkpoint may declare: rows are compared as numpy byte
+# strings of 8 bytes a word, and numpy caps one item at 2**31 - 1 bytes
+_CHECKPOINT_MAX_QUBITS = (2 ** 31 - 1) // 8 * QUBITS_PER_WORD
 
 # default ``Threshold.gate_fraction``: the provisional cut after every gate
 # is this fraction of the step-end ``delta``.  It is the largest of 2^-8,
@@ -192,10 +194,6 @@ class PauliSum:
         self._indices = indices
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(n_qubits)
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliSum":
@@ -580,27 +578,6 @@ def _raise_first_bad(first_row: int, checks) -> None:
             raise ValueError(f"checkpoint row {first_row + j}: {text}")
 
 
-def _hex_checks(n_qubits: int, bad_xz, high_xz, coeffs) -> list:
-    return [
-        (bad_xz, f"x or z field is not {_hex_digits(n_qubits)} hex digits"),
-        (high_xz, f"x or z field sets bits above {n_qubits} qubits"),
-        (~np.isfinite(coeffs),
-         lambda j: f"coefficient {float(coeffs[j])!r} is not finite"),
-    ]
-
-
-def _check_order(keys: np.ndarray) -> None:
-    # gates and lookups trust sorted, unique rows, so a file that breaks
-    # the order is rejected rather than loaded
-    unsorted = rows_out_of_order(keys)
-    if unsorted.size:
-        i = int(unsorted[0])
-        raise ValueError(
-            f"checkpoint row {i} is not above row {i - 1} in canonical "
-            "order; rows must be sorted and unique"
-        )
-
-
 def _read_rows(raw: np.ndarray, first_row: int, n_qubits: int,
                keys: np.ndarray, coeffs: np.ndarray,
                indices: np.ndarray) -> None:
@@ -618,7 +595,11 @@ def _read_rows(raw: np.ndarray, first_row: int, n_qubits: int,
          f"a separator or the newline is out of place in its "
          f"{int(seps[-1]) + 1} bytes"),
         (bad_c | bad_i, "coefficient or index field is not 16 hex digits"),
-    ] + _hex_checks(n_qubits, bad_xz, high_xz, c))
+        (bad_xz, f"x or z field is not {_hex_digits(n_qubits)} hex digits"),
+        (high_xz, f"x or z field sets bits above {n_qubits} qubits"),
+        (~np.isfinite(c),
+         lambda j: f"coefficient {float(c[j])!r} is not finite"),
+    ])
     keys[:] = block_keys
     coeffs[:] = c
     indices[:] = i.view(np.int64)
@@ -657,7 +638,15 @@ def _read_v2(f: TextIO, n_qubits: int, n_terms: int, left: int):
             f"{left} bytes after the header (rows of {width} bytes, then "
             "the trailer)"
         )
-    _check_order(keys)
+    # gates and lookups trust sorted, unique rows, so a file that breaks
+    # the order is rejected rather than loaded
+    unsorted = rows_out_of_order(keys)
+    if unsorted.size:
+        i = int(unsorted[0])
+        raise ValueError(
+            f"checkpoint row {i} is not above row {i - 1} in canonical "
+            "order; rows must be sorted and unique"
+        )
     trailer = f.read()
     match = _TRAILER.fullmatch(trailer)
     if match is None:
@@ -672,147 +661,73 @@ def _read_v2(f: TextIO, n_qubits: int, n_terms: int, left: int):
     return keys, coeffs, indices
 
 
-def _row_dtype(n_qubits: int) -> np.dtype:
-    # one byte more than the hex width, so a token that is too long shows
-    token = f"S{_hex_digits(n_qubits) + 1}"
-    return np.dtype([("x", token), ("z", token), ("c", np.float64),
-                     ("i", np.int64)])
-
-
-def _read_v1_rows(lines: list[str], first_row: int, n_qubits: int,
-                  keys: np.ndarray, coeffs: np.ndarray,
-                  indices: np.ndarray) -> None:
-    """Parse v1 checkpoint rows into the given output slices, raising
-    ``ValueError`` that names the absolute row of the first bad line."""
-    parsed = None
-    # loadtxt warns on input with no data at all
-    if any(map(str.strip, lines)):
-        try:
-            parsed = np.loadtxt(lines, dtype=_row_dtype(n_qubits),
-                                comments=None, ndmin=1)
-        except ValueError:
-            pass
-    # loadtxt fails on the block or skips its blank lines: parse each line
-    # alone to find the first bad one
-    if parsed is None or parsed.shape[0] != len(lines):
-        if len(lines) == 1:
-            raise ValueError(f"malformed checkpoint row {first_row}")
-        for j, line in enumerate(lines):
-            _read_v1_rows([line], first_row + j, n_qubits, keys[j:j + 1],
-                          coeffs[j:j + 1], indices[j:j + 1])
-        return
-    digits = _hex_digits(n_qubits)
-    x = np.ascontiguousarray(parsed["x"]).view(np.uint8).reshape(-1, digits + 1)
-    z = np.ascontiguousarray(parsed["z"]).view(np.uint8).reshape(-1, digits + 1)
-    # a short token ends in NUL padding, which decodes as no digit
-    block_keys, bad_xz, high_xz = _keys_from_hex(x[:, :digits], z[:, :digits],
-                                                 n_qubits)
-    bad_xz |= (x[:, digits] != 0) | (z[:, digits] != 0)
-    _raise_first_bad(first_row,
-                     _hex_checks(n_qubits, bad_xz, high_xz, parsed["c"]))
-    keys[:] = block_keys
-    coeffs[:] = parsed["c"]
-    indices[:] = parsed["i"]
-
-
-def _read_v1(f: TextIO, n_qubits: int, n_terms: int, left: int):
-    """The rows of a v1 checkpoint whose header declares ``n_terms`` rows
-    and is followed by ``left`` characters."""
-    # allocate no more rows than the file can hold: a row is at least two
-    # hex fields, a one-character coefficient and index, three separators
-    # and a newline, which the last row may omit
-    min_row = 2 * _hex_digits(n_qubits) + 6
-    if n_terms < 0 or n_terms * min_row - 1 > left:
-        raise ValueError(
-            f"checkpoint header: n_terms = {n_terms} does not fit in "
-            f"the {left} characters after the header"
-        )
-    keys = np.zeros((n_terms, n_words(n_qubits)), dtype=np.uint64)
-    coeffs = np.zeros(n_terms, dtype=np.float64)
-    indices = np.zeros(n_terms, dtype=np.int64)
-    for start in range(0, n_terms, CHECKPOINT_BLOCK_ROWS):
-        wanted = min(CHECKPOINT_BLOCK_ROWS, n_terms - start)
-        lines = list(itertools.islice(f, wanted))
-        stop = start + len(lines)
-        _read_v1_rows(lines, start, n_qubits, keys[start:stop],
-                      coeffs[start:stop], indices[start:stop])
-        if len(lines) < wanted:
-            raise ValueError(f"malformed checkpoint row {stop}")
-    if f.read().strip():
-        raise ValueError(
-            f"checkpoint row {n_terms}: content after the {n_terms} "
-            "rows the header declares"
-        )
-    _check_order(keys)
-    return keys, coeffs, indices
+def _header_int(header: dict[str, str], key: str) -> int:
+    """Remove the decimal integer field ``key`` from a checkpoint header
+    and return its value."""
+    if key not in header:
+        raise ValueError(f"checkpoint header missing {key}")
+    text = header.pop(key)
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"checkpoint header: {key} = {text!r} is not a "
+                         "decimal integer")
+    return int(text)
 
 
 def load_pauli_sum(src: Union[str, TextIO]) -> tuple[PauliSum, dict]:
     """Inverse of :func:`save_pauli_sum`; returns the sum and extra header
     fields.  Insertion indices are restored as saved, so a run resumed from
-    the checkpoint continues its lineage exactly.  Files of the earlier
-    format ``pauli-sum v1`` (decimal coefficients and indices, rows of any
-    width, no trailer) load too.
+    the checkpoint continues its lineage exactly.
 
     Rows are parsed in blocks of ``CHECKPOINT_BLOCK_ROWS``; no more rows
     are allocated than the rest of the file can hold.  Raises
-    ``ValueError`` naming the ``n_terms`` header when it is negative or,
-    for v2, when the bytes after the header are not exactly ``n_terms``
-    rows and the trailer (v1: more rows than they can hold); a v2 file of
-    the wrong size has the rows it can hold checked first, so that a row
-    one byte short or long is named instead.  Raises
-    ``ValueError`` naming the first bad row when a v2 row has a separator
-    or its newline out of place (a row of the wrong length shows so) or a
-    field that is not hex (a non-ASCII byte included), when a v1 row does
-    not have four fields (or is blank or missing), when a hex field is not
-    exactly ``ceil(n_qubits / 4)`` digits or sets bits above ``n_qubits``,
-    when a v1 coefficient or index does not parse, when a coefficient is
-    not finite, when v1 content follows the ``n_terms`` declared rows, and
-    when the rows are not strictly increasing in canonical order (out of
-    order or repeated).  Raises ``ValueError`` naming the trailer when a
-    v2 trailer is malformed, counts other than ``n_terms`` rows, or holds a
-    crc32 other than that of the rows.
+    ``ValueError`` naming the header field when ``n_qubits`` or ``n_terms``
+    is missing or not a decimal integer, when a field appears twice, when
+    ``n_qubits`` is below 1 or too wide for a row to be compared, and when
+    the bytes after the header are not exactly ``n_terms`` rows and the
+    trailer (a negative ``n_terms`` included); a file of the wrong size has
+    the rows it can hold checked first, so that a row one byte short or
+    long is named instead.  Raises ``ValueError`` naming the first bad row
+    when a row has a separator or its newline out of place (a row of the
+    wrong length shows so), a field that is not hex (a non-ASCII byte
+    included), an x or z field that sets bits above ``n_qubits`` or a
+    coefficient that is not finite, and when the rows are not strictly
+    increasing in canonical order (out of order or repeated).  Raises
+    ``ValueError`` naming the trailer when it is malformed, counts other
+    than ``n_terms`` rows, or holds a crc32 other than that of the rows.
     """
     own = isinstance(src, str)
-    # newline="": v2 rows are read as the bytes they are, "\r" included
+    # newline="": rows are read as the bytes they are, "\r" included
     f = open(src, newline="", errors="surrogateescape") if own else src
     try:
         first = f.readline().strip()
-        readers = {f"# {CHECKPOINT_FORMAT}": _read_v2,
-                   f"# {CHECKPOINT_FORMAT_V1}": _read_v1}
-        if first not in readers:
+        if first == "# pauli-sum v1":
+            raise ValueError(
+                "checkpoint format pauli-sum v1 is no longer read; paulievo "
+                f"at commit 130b57c loads it and saves it as {CHECKPOINT_FORMAT}"
+            )
+        if first != f"# {CHECKPOINT_FORMAT}":
             raise ValueError(f"unrecognized checkpoint header: {first!r}")
         header: dict[str, str] = {}
-        n_qubits = n_terms = None
         pos = f.tell()
         line = f.readline()
         while line and "=" in line and not line.startswith("#"):
             key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key == "n_qubits":
-                n_qubits = int(val)
-            elif key == "n_terms":
-                n_terms = int(val)
-            else:
-                header[key] = val
+            key = key.strip()
+            if key in header:
+                raise ValueError(f"checkpoint header: {key} appears twice")
+            header[key] = val.strip()
             pos = f.tell()
             line = f.readline()
-        if n_qubits is None or n_terms is None:
-            raise ValueError("checkpoint header missing n_qubits/n_terms")
-        if n_qubits < 1:
-            raise ValueError(f"checkpoint header: n_qubits = {n_qubits}")
+        n_qubits = _header_int(header, "n_qubits")
+        n_terms = _header_int(header, "n_terms")
+        if not 1 <= n_qubits <= _CHECKPOINT_MAX_QUBITS:
+            raise ValueError(f"checkpoint header: n_qubits = {n_qubits} is "
+                             f"not in [1, {_CHECKPOINT_MAX_QUBITS}]")
         left = f.seek(0, io.SEEK_END) - pos
         f.seek(pos)
-        keys, coeffs, indices = readers[first](f, n_qubits, n_terms, left)
+        keys, coeffs, indices = _read_v2(f, n_qubits, n_terms, left)
     finally:
         if own:
             f.close()
     out = PauliSum._from_raw(n_qubits, keys, coeffs, indices)
     return out, header
-
-
-def dumps_pauli_sum(a: PauliSum,
-                    extra_header: Mapping[str, object] | None = None) -> str:
-    buf = io.StringIO()
-    save_pauli_sum(a, buf, extra_header)
-    return buf.getvalue()

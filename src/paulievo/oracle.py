@@ -88,25 +88,6 @@ def hamiltonian_sparse(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
     return out
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """A dense operator with its qubit count; Hermitian when it stands for
-    a Hamiltonian, state, or observable."""
-
-    matrix: np.ndarray
-    n_qubits: int
-
-    def assert_hermitian(self, tol: float = 1e-12) -> "DenseOperator":
-        dev = np.abs(self.matrix - self.matrix.conj().T).max()
-        if dev > tol:
-            raise ValueError(f"operator deviates from Hermitian by {dev:g}")
-        return self
-
-    @classmethod
-    def from_hamiltonian(cls, h: Hamiltonian) -> "DenseOperator":
-        return cls(hamiltonian_matrix(h), h.n_qubits).assert_hermitian()
-
-
 # ---------------------------------------------------------------------------
 # Dense imaginary-time evolution
 # ---------------------------------------------------------------------------

@@ -93,9 +93,6 @@ class Phase:
     def __mul__(self, other: "Phase") -> "Phase":
         return Phase(self.k + other.k)
 
-    def __neg__(self) -> "Phase":
-        return Phase(self.k + 2)
-
     def __repr__(self) -> str:
         return f"Phase({'+1 +i -1 -i'.split()[self.k]})"
 
@@ -492,16 +489,3 @@ def join_xz_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     bits[:, 1:2 * n_qubits:2] = z
     return np.packbits(bits, axis=1).view(">u8").astype(np.uint64)
 
-
-def pack_strings(strings: Iterable[PauliString], n_qubits: int) -> np.ndarray:
-    """Pack scalar strings into an (m, n_words) array."""
-    width = n_words(n_qubits)
-    rows = [key_to_words(s.key, width) for s in strings]
-    if not rows:
-        return np.zeros((0, width), dtype=np.uint64)
-    return np.stack(rows)
-
-
-def unpack_string(row: np.ndarray, n_qubits: int) -> PauliString:
-    """Inverse of :func:`pack_strings` for a single row."""
-    return PauliString(n_qubits, words_to_key(row))

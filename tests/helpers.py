@@ -1,5 +1,6 @@
 """Shared test utilities: random operators, dense references, CLI driving."""
 
+import io
 import os
 import struct
 import subprocess
@@ -9,6 +10,7 @@ from itertools import product as iterproduct
 
 import numpy as np
 
+import paulievo
 from paulievo import (
     PauliString,
     PauliSum,
@@ -18,11 +20,39 @@ from paulievo import (
     multiply,
     normalize_by_trace,
     pauli_from_text,
+    save_pauli_sum,
     trotter_sequence,
     truncate,
 )
+from paulievo.cli import RunConfig, _config_from_texts, load_config_file
 from paulievo.oracle import pauli_matrix, pauli_sum_matrix
-from paulievo.pauli import key_to_words, n_words, rows_out_of_order, words_to_key
+from paulievo.pauli import key_to_words, n_words, words_to_key
+
+
+def pack_strings(strings, n_qubits: int) -> np.ndarray:
+    """Pack scalar strings into an ``(m, n_words)`` array."""
+    width = n_words(n_qubits)
+    rows = [key_to_words(s.key, width) for s in strings]
+    if not rows:
+        return np.zeros((0, width), dtype=np.uint64)
+    return np.stack(rows)
+
+
+def unpack_string(row: np.ndarray, n_qubits: int) -> PauliString:
+    """Inverse of :func:`pack_strings` for a single row."""
+    return PauliString(n_qubits, words_to_key(row))
+
+
+def dumps_pauli_sum(a: PauliSum, extra_header=None) -> str:
+    """The checkpoint text :func:`paulievo.save_pauli_sum` writes."""
+    buf = io.StringIO()
+    save_pauli_sum(a, buf, extra_header)
+    return buf.getvalue()
+
+
+def read_config_echo(path) -> RunConfig:
+    """The run config a ``config.ini`` echo reads back as."""
+    return _config_from_texts(load_config_file(path))
 
 
 def lexsort_argsort(keys: np.ndarray) -> np.ndarray:
@@ -50,6 +80,10 @@ def bytestring_find_rows(sorted_keys: np.ndarray, queries: np.ndarray):
 
 def run_cli(*args, env_extra=None, cwd=None):
     env = os.environ.copy()
+    # the package this process imports, found from any working directory
+    src = os.path.dirname(os.path.dirname(paulievo.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -167,80 +201,9 @@ def itpp_loop_oracle(hamiltonian, schedule, gate_policies, step_policies):
 
 
 # ---------------------------------------------------------------------------
-# The per-row checkpoint writer and reader of the v1 format, which the
-# block-streamed ones replaced, kept as the v1 reader's oracle and as the
-# way tests write v1 files.  The only addition is in the reader: an error
-# raised while a row is parsed is re-raised naming that row, so the two
-# readers' failures compare by row.
+# The per-row checkpoint writer, which the block-streamed one replaced, kept
+# as its oracle.
 # ---------------------------------------------------------------------------
-
-
-def oracle_save(a, f, extra_header=None):
-    f.write("# pauli-sum v1\n")
-    f.write(f"n_qubits = {a.n_qubits}\n")
-    f.write(f"n_terms = {len(a)}\n")
-    for k, v in (extra_header or {}).items():
-        f.write(f"{k} = {v}\n")
-    digits = (a.n_qubits + 3) // 4
-    for row, c, idx in zip(a._keys, a._coeffs, a._indices):
-        p = PauliString(a.n_qubits, words_to_key(row))
-        f.write(
-            f"{p.x_bits:0{digits}x} {p.z_bits:0{digits}x} "
-            f"{c:.17e} {int(idx)}\n"
-        )
-
-
-def oracle_load(f):
-    first = f.readline().strip()
-    if first != "# pauli-sum v1":
-        raise ValueError(f"unrecognized checkpoint header: {first!r}")
-    header = {}
-    n_qubits = n_terms = None
-    pos = f.tell()
-    line = f.readline()
-    while line and "=" in line:
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key == "n_qubits":
-            n_qubits = int(val)
-        elif key == "n_terms":
-            n_terms = int(val)
-        else:
-            header[key] = val
-        pos = f.tell()
-        line = f.readline()
-    if n_qubits is None or n_terms is None:
-        raise ValueError("checkpoint header missing n_qubits/n_terms")
-    f.seek(pos)
-    width = n_words(n_qubits)
-    keys = np.zeros((n_terms, width), dtype=np.uint64)
-    coeffs = np.zeros(n_terms, dtype=np.float64)
-    indices = np.zeros(n_terms, dtype=np.int64)
-    for i in range(n_terms):
-        try:
-            parts = f.readline().split()
-            if len(parts) != 4:
-                raise ValueError(f"malformed checkpoint row {i}")
-            x, z = int(parts[0], 16), int(parts[1], 16)
-            p = PauliString.from_xz(x, z, n_qubits)
-            keys[i] = key_to_words(p.key, width)
-            coeffs[i] = float(parts[2])
-            indices[i] = int(parts[3])
-        except (ValueError, OverflowError) as err:
-            raise ValueError(f"checkpoint row {i}: {err}") from err
-    if f.read().strip():
-        raise ValueError(
-            f"checkpoint row {n_terms}: content after the {n_terms} "
-            "rows the header declares"
-        )
-    unsorted = rows_out_of_order(keys)
-    if unsorted.size:
-        i = int(unsorted[0])
-        raise ValueError(
-            f"checkpoint row {i} is not above row {i - 1} in canonical "
-            "order; rows must be sorted and unique"
-        )
-    return PauliSum._from_raw(n_qubits, keys, coeffs, indices), header
 
 
 def oracle_save_v2(a, f, extra_header=None):

@@ -21,11 +21,10 @@ from paulievo.cli import (
     parse_number,
     parse_policy,
     policy_text,
-    read_config_echo,
     write_config_echo,
 )
 
-from helpers import oracle_save, read_rows, run_cli
+from helpers import read_config_echo, read_rows, run_cli
 
 
 class TestPolicyParsing:
@@ -453,10 +452,9 @@ class TestResume:
         assert "stop_after_step" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @staticmethod
-    def _resume_with_top_index(tmp_path, save):
-        """Resume a run whose checkpoint, rewritten by ``save``, holds the
-        largest index that leaves no room for the next gate's."""
+    def test_resume_index_overflow_exits_2(self, tmp_path):
+        """Resume a run whose checkpoint holds the largest index that leaves
+        no room for the next gate's."""
         out = tmp_path / "inter"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
                       "--stop-after-step", "5", "--out-dir", str(out))
@@ -465,46 +463,74 @@ class TestResume:
         state, extras = load_pauli_sum(str(ckpt))
         top = 2 ** 63 - 2
         state._indices[-1] = top
-        with open(ckpt, "w") as f:
-            save(state, f, extras)
+        save_pauli_sum(state, str(ckpt), extras)
         res = run_cli("resume", str(out))
         assert res.returncode == 2
         assert f"error: largest insertion index {top}" in res.stderr
         assert "Traceback" not in res.stderr
 
-    def test_resume_index_overflow_exits_2(self, tmp_path):
-        self._resume_with_top_index(tmp_path, save_pauli_sum)
-
-    def test_resume_index_overflow_exits_2_v1(self, tmp_path):
-        self._resume_with_top_index(tmp_path, oracle_save)
-
-    def test_v1_checkpoint_resumes(self, tmp_path):
-        """A run stopped at a v1 checkpoint resumes to the same trajectory
-        and final state as from the v2 one and as the uninterrupted run."""
+    def test_checkpoint_resumes_to_uninterrupted_bytes(self, tmp_path):
+        """A run stopped at a checkpoint resumes to the same trajectory and
+        final checkpoint bytes as the uninterrupted run."""
         flags = ("--N", "6", "--truncation", "fixed_k=64", "--tau-final",
                  "0.4", "--checkpoint-every", "2")
-        dirs = {name: tmp_path / name for name in ("full", "v1", "v2")}
-        res = run_cli("run-itpp", *flags, "--out-dir", str(dirs["full"]))
+        full, inter = tmp_path / "full", tmp_path / "inter"
+        res = run_cli("run-itpp", *flags, "--out-dir", str(full))
         assert res.returncode == 0, res.stderr
-        for name in ("v1", "v2"):
-            res = run_cli("run-itpp", *flags, "--stop-after-step", "4",
-                          "--out-dir", str(dirs[name]))
-            assert res.returncode == 0, res.stderr
-        ckpt = dirs["v1"] / "checkpoint.psum"
-        state, extras = load_pauli_sum(str(ckpt))
+        res = run_cli("run-itpp", *flags, "--stop-after-step", "4",
+                      "--out-dir", str(inter))
+        assert res.returncode == 0, res.stderr
+        _, extras = load_pauli_sum(str(inter / "checkpoint.psum"))
         assert extras == {"step": "4", "tau": repr(4 * 0.04)}
-        with open(ckpt, "w") as f:
-            oracle_save(state, f, extras)
-        assert ckpt.read_text().startswith("# pauli-sum v1\n")
-        for name in ("v1", "v2"):
-            res = run_cli("resume", str(dirs[name]))
-            assert res.returncode == 0, res.stderr
-        expected = read_rows(dirs["full"] / "trajectory.csv")
-        final = (dirs["full"] / "checkpoint.psum").read_bytes()
+        res = run_cli("resume", str(inter))
+        assert res.returncode == 0, res.stderr
+        final = (full / "checkpoint.psum").read_bytes()
         assert "\nstep = 10\n" in final.decode()
-        for name in ("v1", "v2"):
-            assert read_rows(dirs[name] / "trajectory.csv") == expected
-            assert (dirs[name] / "checkpoint.psum").read_bytes() == final
+        assert read_rows(inter / "trajectory.csv") == \
+            read_rows(full / "trajectory.csv")
+        assert (inter / "checkpoint.psum").read_bytes() == final
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",
+                      "--stop-after-step", "5", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        ckpt = out / "checkpoint.psum"
+        text = ckpt.read_text()
+        assert text.startswith("# pauli-sum v2\n")
+        ckpt.write_text(text.replace("v2", "v1", 1))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert ("error: checkpoint format pauli-sum v1 is no longer read; "
+                "paulievo at commit 130b57c") in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("run_dir, resume_dir", [
+        ("part", "moved"), (" lead", " lead")])
+    def test_resume_writes_into_the_given_directory(self, tmp_path, run_dir,
+                                                    resume_dir):
+        """Every artifact lands in the directory resumed, wherever the run
+        started and whatever blanks its name holds; no other directory is
+        made."""
+        flags = ("--N", "3", "--tau-final", "0.12")
+        full, work = tmp_path / "full", tmp_path / "work"
+        work.mkdir()
+        res = run_cli("run-itpp", *flags, "--out-dir", str(full))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("run-itpp", *flags, "--stop-after-step", "1",
+                      "--out-dir", run_dir, cwd=work)
+        assert res.returncode == 0, res.stderr
+        (work / run_dir).rename(work / resume_dir)
+        res = run_cli("resume", resume_dir, cwd=work)
+        assert res.returncode == 0, res.stderr
+        out = work / resume_dir
+        assert [p.name for p in work.iterdir()] == [resume_dir]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint.psum", "config.ini", "summary.txt", "trajectory.csv"]
+        assert "status = completed" in (out / "summary.txt").read_text()
+        assert read_rows(out / "trajectory.csv") == \
+            read_rows(full / "trajectory.csv")
 
     def test_checkpoint_written_once_per_step(self, tmp_path, monkeypatch):
         steps = []

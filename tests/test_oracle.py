@@ -20,7 +20,6 @@ from paulievo import (
     pauli_from_text,
 )
 from paulievo.oracle import (
-    DenseOperator,
     hamiltonian_matrix,
     imaginary_conjugation_matrix,
     pauli_matrix,
@@ -188,13 +187,3 @@ class TestBdg:
         e0 = bdg_ground_energy(TfimParams(N=200, J=1.0, h=0.5))
         assert e0 < -200.0
 
-
-class TestDenseOperator:
-    def test_hermitian_accepted(self):
-        ham = build_tfim(TfimParams(N=2))
-        DenseOperator.from_hamiltonian(ham)  # asserts internally
-
-    def test_non_hermitian_rejected(self):
-        mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            DenseOperator(mat, 1).assert_hermitian()

@@ -1,0 +1,81 @@
+"""Every public name in the package is used by the package or exported.
+
+A public top-level function or class, or a public method, that nothing in
+``src/paulievo`` references and ``paulievo.__all__`` does not list exists
+only for tests or for no one.  Such a name belongs in ``tests/helpers.py``
+or nowhere, unless it is listed below with the reason it stays.
+"""
+
+import ast
+import collections
+import pathlib
+
+import paulievo
+
+PACKAGE = pathlib.Path(paulievo.__file__).parent
+
+ALLOWED = {
+    "oracle.imaginary_conjugation_matrix":
+        "dense reference the gate tests compare against",
+    "oracle.real_conjugation_matrix":
+        "dense reference the gate tests compare against",
+    "opsum.PauliSum.coefficient": "public inspection of one term",
+    "opsum.PauliSum.coefficients": "public inspection of every term",
+    "opsum.PauliSum.insertion_index": "public inspection of a sum's lineage",
+    "models.Hamiltonian.identity_coefficient":
+        "public inspection of a Hamiltonian's constant",
+    "pauli.PauliString.from_xz":
+        "constructor from x and z bits, named in the class docstring",
+    "propagate.Trajectory.final": "the run's last record, as README shows",
+    "propagate.Trajectory.energies":
+        "the energy curve, which the benchmark checks",
+}
+
+
+def _references(tree: ast.AST) -> collections.Counter:
+    """How often each identifier is read as a name or an attribute."""
+    return collections.Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of each public top-level function and
+    class and each public method."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, defs)
+                            and not member.name.startswith("_")):
+                        yield f"{node.name}.{member.name}", member
+
+
+def unused_public_names() -> list[str]:
+    """Qualified names defined public in the package that nothing else in
+    it references and ``__all__`` does not export."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    total = collections.Counter()
+    for tree in trees.values():
+        total += _references(tree)
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node in _public_definitions(tree):
+            # references from inside the definition itself do not count
+            elsewhere = total[node.name] - _references(node)[node.name]
+            if node.name not in paulievo.__all__ and elsewhere == 0:
+                unused.append(f"{module}.{qualname}")
+    return unused
+
+
+def test_every_public_name_is_used_or_exported():
+    assert sorted(set(unused_public_names()) - set(ALLOWED)) == []
+
+
+def test_every_allowed_name_still_needs_its_entry():
+    assert sorted(set(ALLOWED) - set(unused_public_names())) == []

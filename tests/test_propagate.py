@@ -43,7 +43,6 @@ from paulievo.opsum import (
     MERGE_DROP_RELATIVE,
     THRESHOLD_GATE_FRACTION,
     _coalesce,
-    dumps_pauli_sum,
 )
 from paulievo.oracle import (
     imaginary_conjugation_matrix,
@@ -55,7 +54,6 @@ from paulievo.pauli import (
     key_to_words,
     multiply,
     row_weights,
-    unpack_string,
 )
 from paulievo.propagate import split_policy_by_cadence
 
@@ -63,11 +61,13 @@ from helpers import (
     all_pauli_texts,
     bytestring_find_rows,
     dense,
+    dumps_pauli_sum,
     itpp_loop_oracle,
     lexsort_argsort,
     random_pauli_sum,
     random_pauli_text,
     squared_state_oracle,
+    unpack_string,
 )
 
 
