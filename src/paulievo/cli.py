@@ -44,7 +44,12 @@ from .oracle import (
     dense_trotter_ite,
     ground_energy,
 )
-from .propagate import ScheduleConfig, TrajectoryRecord, run_itpp
+from .propagate import (
+    ScheduleConfig,
+    TrajectoryRecord,
+    relative_error,
+    run_itpp,
+)
 
 SCHEMA_TRAJECTORY = "itpp-trajectory v1"
 SCHEMA_SUMMARY = "itpp-summary v1"
@@ -180,9 +185,15 @@ class RunConfig:
         if self.kind == "tfim":
             return build_tfim(TfimParams(N=self.N, J=self.J, h=self.h))
         if self.kind == "terms":
-            if not self.terms_file:
-                raise ConfigError("model kind 'terms' needs terms_file")
-            return hamiltonian_from_file(self.terms_file)
+            # the config echo does not keep blanks around a name
+            name = self.terms_file
+            if not name or name != name.strip():
+                raise ConfigError("model kind 'terms' needs a terms_file with "
+                                  f"no blank at either end, not {name!r}")
+            try:
+                return hamiltonian_from_file(name)
+            except OSError as err:
+                raise ConfigError(f"cannot read terms_file: {err}") from None
         raise ConfigError(f"unknown model kind {self.kind!r}")
 
     def model_text(self) -> str:
@@ -484,24 +495,21 @@ def cmd_resume(args) -> int:
             f"{config_path} has {hamiltonian.n_qubits}"
         )
     # the same expression run_itpp records at the end of a step
-    expected_tau = repr(step * cfg.delta_tau)
-    if extras.get("tau") != expected_tau:
+    tau = step * cfg.delta_tau
+    if extras.get("tau") != repr(tau):
         raise ConfigError(
             f"checkpoint tau {extras.get('tau')} at step {step} does not "
             f"match delta_tau = {cfg.delta_tau!r} in {config_path} "
-            f"(expected {expected_tau})"
+            f"(expected {tau!r})"
         )
+    # every row recorded up to the checkpointed step, per-gate rows
+    # included, has a tau no larger than the step's
     kept_rows = []
     if os.path.exists(traj_path):
         with open(traj_path) as f:
             kept_rows = [line.rstrip("\n") for line in f
-                         if not line.startswith(("#", "tau,"))]
-    # rows: tau=0 plus one per completed step (per-gate rows scale the
-    # same way); keep only rows up to the checkpointed step
-    per_step = 1
-    if cfg.record_per_gate:
-        per_step = len(hamiltonian.gated_terms())
-    kept_rows = kept_rows[:1 + step * per_step]
+                         if not line.startswith(("#", "tau,"))
+                         and float(line.split(",", 1)[0]) <= tau]
     return report(run_single(cfg, resume_from=(state, step, kept_rows)))
 
 
@@ -533,11 +541,10 @@ def cmd_exact(args) -> int:
         for tau, values, purity in zip(curve.taus, curve.values,
                                        curve.purities):
             energy = values[0]
-            rel = (abs(energy - reference) / abs(reference)
-                   if reference else None)
             # n_terms has no dense meaning; wall time is not tracked
             rows.append(record_row(TrajectoryRecord(
-                tau, energy, rel, None, purity, None, tuple(values[1:]))))
+                tau, energy, relative_error(energy, reference), None, purity,
+                None, tuple(values[1:]))))
         path = os.path.join(cfg.out_dir, filename)
         write_trajectory(path, header, rows)
         print(f"wrote {path}")

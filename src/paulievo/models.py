@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
-from .pauli import DimensionMismatchError, PauliString, pauli_from_text
+from .pauli import PauliString, require_width
 from .opsum import PauliSum
 
 
@@ -28,12 +28,7 @@ class Hamiltonian:
         merged: dict[int, int] = {}  # key -> position
         out: list[tuple[float, PauliString]] = []
         for c, p in terms:
-            if isinstance(p, str):
-                p = pauli_from_text(p)
-            if p.n_qubits != n_qubits:
-                raise DimensionMismatchError(
-                    f"term width {p.n_qubits} != {n_qubits}"
-                )
+            p = require_width(p, n_qubits, "term")
             c = float(c)
             pos = merged.get(p.key)
             if pos is None:
@@ -112,19 +107,23 @@ def build_tfim(params: TfimParams) -> Hamiltonian:
 def hamiltonian_from_file(path: str) -> Hamiltonian:
     """Read a plain-text term file: one ``coefficient pauli_string`` per
     line, ``#`` comments and blank lines ignored.  The width is taken from
-    the first term."""
-    entries: list[tuple[float, str]] = []
+    the first term.  A malformed line raises ``ValueError`` naming
+    ``path:line``."""
+    entries: list[tuple[float, PauliString]] = []
     with open(path) as f:
         for lineno, raw in enumerate(f, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'coefficient pauli_string'"
-                )
-            entries.append((float(parts[0]), parts[1]))
+            try:
+                if len(parts) != 2:
+                    raise ValueError("expected 'coefficient pauli_string'")
+                width = entries[0][1].n_qubits if entries else len(parts[1])
+                entries.append((float(parts[0]),
+                                require_width(parts[1], width, "term")))
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     if not entries:
         raise ValueError(f"{path}: no terms found")
-    return Hamiltonian(len(entries[0][1]), entries)
+    return Hamiltonian(entries[0][1].n_qubits, entries)

@@ -28,17 +28,15 @@ import numpy as np
 
 from .pauli import (
     QUBITS_PER_WORD,
-    DimensionMismatchError,
     PauliString,
     canonical_argsort,
     find_rows,
     join_xz_bits,
     key_to_words,
     n_words,
-    pauli_from_text,
+    not_above_previous,
+    require_width,
     row_weights,
-    rows_equal_adjacent,
-    rows_out_of_order,
     split_xz_bits,
     take_rows,
     words_to_key,
@@ -156,7 +154,7 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
     keys = take_rows(keys, order)
     coeffs = coeffs[order]
     indices = indices[order]
-    dup = rows_equal_adjacent(keys)
+    dup = not_above_previous(keys)
     if dup.any():
         starts = np.flatnonzero(~dup)
         keys = take_rows(keys, starts)
@@ -218,12 +216,7 @@ class PauliSum:
         keys = []
         coeffs = []
         for c, p in terms:
-            if isinstance(p, str):
-                p = pauli_from_text(p)
-            if p.n_qubits != n_qubits:
-                raise DimensionMismatchError(
-                    f"term width {p.n_qubits} != {n_qubits}"
-                )
+            p = require_width(p, n_qubits, "term")
             # np.iscomplexobj, not isinstance(c, complex): np.complex64 is
             # not a subclass of complex, and float() would drop its imag
             if np.iscomplexobj(c):
@@ -257,35 +250,26 @@ class PauliSum:
         """Coefficients in canonical string order (a copy)."""
         return self._coeffs.copy()
 
-    def _find_row(self, p: PauliString) -> int:
-        if p.n_qubits != self.n_qubits:
-            raise DimensionMismatchError(
-                f"string width {p.n_qubits} != {self.n_qubits}"
-            )
+    def _find_row(self, p: Union[PauliString, str]) -> int:
+        p = require_width(p, self.n_qubits, "string")
         row = key_to_words(p.key, n_words(self.n_qubits))
         pos, found = find_rows(self._keys, row[None, :])
         return int(pos[0]) if found[0] else -1
 
     def coefficient(self, p: Union[PauliString, str]):
         """Coefficient of ``p`` (0 if absent)."""
-        if isinstance(p, str):
-            p = pauli_from_text(p)
         pos = self._find_row(p)
         if pos < 0:
             return self._coeffs.dtype.type(0)
         return self._coeffs[pos]
 
     def insertion_index(self, p: Union[PauliString, str]) -> int:
-        if isinstance(p, str):
-            p = pauli_from_text(p)
         pos = self._find_row(p)
         if pos < 0:
             raise KeyError(f"{p} not present")
         return int(self._indices[pos])
 
     def __contains__(self, p) -> bool:
-        if isinstance(p, str):
-            p = pauli_from_text(p)
         return self._find_row(p) >= 0
 
     def items(self) -> Iterator[tuple[PauliString, float]]:
@@ -319,13 +303,6 @@ class PauliSum:
 # ---------------------------------------------------------------------------
 
 
-def _require_same_width(a: PauliSum, b: PauliSum) -> None:
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(
-            f"width mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
-
-
 def normalized_trace(a: PauliSum) -> float:
     """Coefficient of the identity string (``tr := Tr / 2**n``)."""
     if len(a) and not a._keys[0].any():
@@ -345,7 +322,7 @@ def _intersect_indices(a: PauliSum, b: PauliSum):
 
 def overlap(a: PauliSum, b: PauliSum) -> float:
     """``tr(A B) = sum_P a_P b_P`` over the common strings."""
-    _require_same_width(a, b)
+    require_width(b, a.n_qubits, "second operand")
     if len(a) == 0 or len(b) == 0:
         return 0.0
     ia, ib = _intersect_indices(a, b)
@@ -640,9 +617,9 @@ def _read_v2(f: TextIO, n_qubits: int, n_terms: int, left: int):
         )
     # gates and lookups trust sorted, unique rows, so a file that breaks
     # the order is rejected rather than loaded
-    unsorted = rows_out_of_order(keys)
-    if unsorted.size:
-        i = int(unsorted[0])
+    unsorted = not_above_previous(keys)
+    if unsorted.any():
+        i = int(np.argmax(unsorted))
         raise ValueError(
             f"checkpoint row {i} is not above row {i - 1} in canonical "
             "order; rows must be sorted and unique"

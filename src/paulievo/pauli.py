@@ -217,16 +217,22 @@ def pauli_from_text(text: str) -> PauliString:
     return PauliString(n, key)
 
 
-def _require_same_width(p: PauliString, q: PauliString) -> None:
-    if p.n_qubits != q.n_qubits:
+def require_width(item, n_qubits: int, what: str):
+    """``item`` (a string, sum or state; text is parsed first) once it is
+    known to act on ``n_qubits`` qubits, else :class:`DimensionMismatchError`
+    naming ``what``."""
+    if isinstance(item, str):
+        item = pauli_from_text(item)
+    if item.n_qubits != n_qubits:
         raise DimensionMismatchError(
-            f"width mismatch: {p.n_qubits} vs {q.n_qubits} qubits"
+            f"{what} acts on {item.n_qubits} qubits, not {n_qubits}"
         )
+    return item
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
     """True iff ``[P, Q] = 0``, via the symplectic form mod 2."""
-    _require_same_width(p, q)
+    require_width(q, p.n_qubits, "second operand")
     zh = _z_half_int(n_words(p.n_qubits))
     a = ((p.key >> 1) & q.key & zh).bit_count()  # x_P . z_Q
     b = (p.key & (q.key >> 1) & zh).bit_count()  # z_P . x_Q
@@ -235,7 +241,7 @@ def commutes(p: PauliString, q: PauliString) -> bool:
 
 def multiply(p: PauliString, q: PauliString) -> tuple[Phase, PauliString]:
     """Operator product ``P*Q = phase * R`` with ``R`` phase-free."""
-    _require_same_width(p, q)
+    require_width(q, p.n_qubits, "second operand")
     zh = _z_half_int(n_words(p.n_qubits))
     r_key = p.key ^ q.key
     c_p = ((p.key >> 1) & p.key & zh).bit_count()
@@ -330,17 +336,17 @@ def _composite_keys(table: np.ndarray, queries: np.ndarray | None = None):
 
 
 def canonical_argsort(keys: np.ndarray) -> np.ndarray:
-    """Stable argsort of packed rows in canonical (integer) order."""
-    if keys.shape[1] == 1:
-        return np.argsort(keys[:, 0], kind="stable")
+    """Stable argsort of packed rows in canonical (integer) order: two-word
+    rows by their composite keys when those fit, all others through
+    :func:`_row_order_view`."""
     if keys.shape[1] == 2:
-        # two stable sorts keep equal rows in input order, as lexsort does,
-        # which the summing of duplicate rows relies on
+        # two stable sorts keep equal rows in input order, as the byte
+        # string sort does, which the summing of duplicate rows relies on
         by_first = np.argsort(keys[:, 0], kind="stable")
         composite = _composite_keys(take_rows(keys, by_first))
         if composite is not None:
             return by_first[np.argsort(composite[0], kind="stable")]
-    return np.lexsort(tuple(keys[:, w] for w in reversed(range(keys.shape[1]))))
+    return np.argsort(_row_order_view(keys), kind="stable")
 
 
 def find_rows(sorted_keys: np.ndarray,
@@ -379,21 +385,14 @@ def find_rows(sorted_keys: np.ndarray,
     return pos + lo, found
 
 
-def rows_equal_adjacent(sorted_keys: np.ndarray) -> np.ndarray:
-    """Boolean mask, True where a sorted row equals its predecessor."""
-    if sorted_keys.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    eq = np.concatenate(
-        [[False], (sorted_keys[1:] == sorted_keys[:-1]).all(axis=1)]
-    )
-    return eq
-
-
-def rows_out_of_order(keys: np.ndarray) -> np.ndarray:
-    """Positions ``i >= 1`` whose row is not strictly above row ``i - 1``
-    in canonical order, i.e. out of order or repeated."""
+def not_above_previous(keys: np.ndarray) -> np.ndarray:
+    """Boolean mask, True where a row is not strictly above its predecessor
+    in canonical order (never for row 0): on sorted rows, the repeats; on
+    any rows, the positions that break sorted, unique order."""
     view = _row_order_view(keys)
-    return np.flatnonzero(view[1:] <= view[:-1]) + 1
+    mask = np.zeros(keys.shape[0], dtype=bool)
+    mask[1:] = view[1:] <= view[:-1]
+    return mask
 
 
 def _word_span(row: np.ndarray) -> slice:

@@ -52,14 +52,14 @@ from .opsum import (
     truncate,
 )
 from .pauli import (
-    DimensionMismatchError,
     PauliString,
     anticommute_mask,
     canonical_argsort,
     find_rows,
+    not_above_previous,
     phase_exponent,
+    require_width,
     row_view,
-    rows_equal_adjacent,
     take_rows,
 )
 
@@ -205,11 +205,7 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     past the largest index; a state whose largest index leaves no room for
     the spawn block within int64 is refused with ``ValueError``.
     """
-    if gate.generator.n_qubits != state.n_qubits:
-        raise DimensionMismatchError(
-            f"gate width {gate.generator.n_qubits} != state width "
-            f"{state.n_qubits}"
-        )
+    require_width(gate.generator, state.n_qubits, "gate generator")
     if len(state) == 0:
         return state
     gwords = gate.generator.words()
@@ -366,8 +362,6 @@ def trotter_sequence(hamiltonian: Hamiltonian,
     """The full first-order gate sequence: one step's gates repeated
     ``n_steps`` times, each term contributing ``tau_eff = alpha_j *
     delta_tau``."""
-    if len(hamiltonian) == 0:
-        raise ValueError("empty Hamiltonian")
     return _step_gates(hamiltonian, schedule) * schedule.n_steps
 
 
@@ -402,11 +396,7 @@ def expectation_squared_state(observable: PauliSum, state: PauliSum) -> float:
     give imaginary terms, which cancel for real coefficients and are only
     checked against round-off.
     """
-    if observable.n_qubits != state.n_qubits:
-        raise DimensionMismatchError(
-            f"observable width {observable.n_qubits} != state width "
-            f"{state.n_qubits}"
-        )
+    require_width(observable, state.n_qubits, "observable")
     pur = purity(state)
     if pur == 0.0:
         raise DegenerateStateError("state has zero purity")
@@ -423,10 +413,11 @@ def expectation_squared_state(observable: PauliSum, state: PauliSum) -> float:
     return _real_part(float(real), float(imag)) / pur
 
 
-def relative_error(energy: float, reference: float) -> float:
-    """``|E - E0| / |E0|``."""
-    if reference == 0.0:
-        raise ZeroDivisionError("reference energy is zero")
+def relative_error(energy: float, reference: float | None) -> float | None:
+    """``|E - E0| / |E0|``; ``None`` when there is no reference or it is 0,
+    where the ratio means nothing."""
+    if not reference:
+        return None
     return abs(energy - reference) / abs(reference)
 
 
@@ -490,11 +481,12 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     Each gate is one :func:`apply_imaginary_gate` with the gate part as
     its ``policy`` (thresholds as one cut inside the merge, budgets over
     the merged rows) and one trace normalization.  A complex
-    ``initial_state`` is refused with ``TypeError`` before any gate runs.
-    After each step a :class:`TrajectoryRecord` is written with the energy
-    ``tr(H rho)``, its relative error when ``reference_energy`` is given,
-    the term count, the purity, and the elapsed wall time.  A record at
-    ``tau = 0`` is included when starting from scratch.
+    ``initial_state`` is refused with ``TypeError``, a real one normalized
+    by its trace, before any gate runs.  After each step a
+    :class:`TrajectoryRecord` is written with the energy ``tr(H rho)``, its
+    :func:`relative_error` to ``reference_energy``, the term count, the
+    purity, and the elapsed wall time.  A record at ``tau = 0`` is included
+    when starting from scratch.
 
     ``initial_state``/``start_step`` resume an interrupted run from a
     checkpoint; ``step_callback(step, state, record)`` runs after each step
@@ -507,25 +499,22 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     untruncated support censuses need.  Returns the final state and the
     trajectory of the steps executed here.
     """
-    if len(hamiltonian) == 0:
-        raise ValueError("empty Hamiltonian")
     h_sum = hamiltonian.to_sum()
     gates = _step_gates(hamiltonian, schedule)
     gate_policy, step_policy = split_policy_by_cadence(policy)
     state = initial_state if initial_state is not None else \
         PauliSum.identity(hamiltonian.n_qubits)
-    if state.n_qubits != hamiltonian.n_qubits:
-        raise DimensionMismatchError("initial state width != Hamiltonian width")
+    require_width(state, hamiltonian.n_qubits, "initial state")
     if not state.is_real:
         raise TypeError("propagation requires real coefficients")
+    state = normalize_by_trace(state)
 
     trajectory = Trajectory()
     t0 = time.perf_counter()
 
     def make_record(tau: float) -> TrajectoryRecord:
         energy = expectation(h_sum, state)
-        rel = (relative_error(energy, reference_energy)
-               if reference_energy is not None else None)
+        rel = relative_error(energy, reference_energy)
         obs = tuple(expectation(o, state) for o in observables)
         return TrajectoryRecord(
             tau=tau,
@@ -599,7 +588,7 @@ def reachable_support_size(hamiltonian: Hamiltonian,
         cand = np.concatenate(spawned)
         order = canonical_argsort(cand)
         cand = take_rows(cand, order)
-        cand = take_rows(cand, ~rows_equal_adjacent(cand))
+        cand = take_rows(cand, ~not_above_previous(cand))
         frontier = take_rows(cand, ~find_rows(seen, cand)[1])
         if frontier.shape[0] == 0:
             break

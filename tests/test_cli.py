@@ -230,6 +230,33 @@ class TestRunItpp:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_zero_reference_leaves_rel_error_empty(self, tmp_path):
+        out = tmp_path / "run"
+        res = run_cli("run-itpp", "--N", "3", "--J", "0", "--h", "0",
+                      "--tau-final", "0.08", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        header, rows = read_rows(out / "trajectory.csv")
+        assert "# reference_energy: 0.0 (source: ed)" in header
+        assert [cells[2] for cells in rows] == ["", "", ""]
+        assert "final_rel_error = \n" in (out / "summary.txt").read_text()
+
+    @pytest.mark.parametrize("name, named", [
+        ("nothere.txt", "cannot read terms_file: [Errno 2]"),
+        (" model.txt", "no blank at either end, not ' model.txt'"),
+        ("model.txt ", "no blank at either end, not 'model.txt '"),
+    ], ids=["missing", "leading-blank", "trailing-blank"])
+    def test_unusable_terms_file_exits_2(self, tmp_path, name, named):
+        # the files with blanks exist, so only their names are refused
+        for existing in ("model.txt", " model.txt", "model.txt "):
+            (tmp_path / existing).write_text("-1.0 Z\n")
+        res = run_cli("run-itpp", "--kind", "terms", "--terms-file", name,
+                      "--tau-final", "0.12", "--out-dir", "run",
+                      cwd=tmp_path)
+        assert res.returncode == 2
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_power_notation_flag_matches_decimal(self, tmp_path):
         a, b = tmp_path / "power", tmp_path / "decimal"
         for out, j in ((a, "2^-1"), (b, "0.5")):

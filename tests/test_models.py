@@ -130,6 +130,18 @@ class TestTermFile:
         with pytest.raises(ValueError):
             hamiltonian_from_file(str(path))
 
+    @pytest.mark.parametrize("text, named", [
+        ("abc ZZ", "2: could not convert string to float: 'abc'"),
+        ("1.0 XQ", "2: invalid Pauli letter 'Q' at position 1"),
+        ("-1.0 ZZ\n0.5 XXX", "3: term acts on 3 qubits, not 2"),
+    ], ids=["coefficient", "letter", "width"])
+    def test_error_names_path_and_line(self, tmp_path, text, named):
+        path = tmp_path / "bad.txt"
+        path.write_text("# model\n" + text + "\n")
+        with pytest.raises(ValueError) as err:
+            hamiltonian_from_file(str(path))
+        assert str(err.value) == f"{path}:{named}"
+
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("-1.0 ZZ extra\n")

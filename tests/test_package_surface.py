@@ -1,4 +1,5 @@
-"""Every public name in the package is used by the package or exported.
+"""Every public name in the package is used by the package or exported,
+and no two of its functions share a body.
 
 A public top-level function or class, or a public method, that nothing in
 ``src/paulievo`` references and ``paulievo.__all__`` does not list exists
@@ -8,6 +9,7 @@ or nowhere, unless it is listed below with the reason it stays.
 
 import ast
 import collections
+import copy
 import pathlib
 
 import paulievo
@@ -55,11 +57,15 @@ def _public_definitions(tree: ast.Module):
                         yield f"{node.name}.{member.name}", member
 
 
+def _package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def unused_public_names() -> list[str]:
     """Qualified names defined public in the package that nothing else in
     it references and ``__all__`` does not export."""
-    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package_trees()
     total = collections.Counter()
     for tree in trees.values():
         total += _references(tree)
@@ -79,3 +85,37 @@ def test_every_public_name_is_used_or_exported():
 
 def test_every_allowed_name_still_needs_its_entry():
     assert sorted(set(ALLOWED) - set(unused_public_names())) == []
+
+
+def _body_without_argument_names(func: ast.FunctionDef) -> str:
+    """A function's body as an AST dump, without its docstring and with
+    each argument name replaced by the argument's position."""
+    args = func.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None]
+    body = func.body
+    first = body[0]
+    if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+            and isinstance(first.value.value, str)):
+        body = body[1:]
+    module = ast.Module(body=copy.deepcopy(body), type_ignores=[])
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name) and node.id in names:
+            node.id = f"argument {names.index(node.id)}"
+    return ast.dump(module)
+
+
+def shared_bodies() -> list[list[str]]:
+    """Groups of package functions, at any depth, whose bodies are the
+    same once argument names are ignored."""
+    groups = collections.defaultdict(list)
+    for module, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                groups[_body_without_argument_names(node)].append(
+                    f"{module}.py:{node.lineno} {node.name}")
+    return sorted(names for names in groups.values() if len(names) > 1)
+
+
+def test_no_two_functions_share_a_body():
+    assert shared_bodies() == []

@@ -25,6 +25,7 @@ from paulievo.pauli import (
     join_xz_bits,
     key_to_words,
     n_words,
+    not_above_previous,
     phase_exponent,
     row_weights,
     split_xz_bits,
@@ -487,3 +488,30 @@ class TestWideRowKernels:
         assert found.tolist() == [True] * 10 + [False] * 10
         assert pos.tolist() == [bisect.bisect_left(members, q)
                                 for q in queries]
+
+
+class TestNotAbovePrevious:
+    """The one adjacent-row predicate at one, two and three words: on
+    sorted rows it marks the repeats, on any rows the breaks of strictly
+    increasing order."""
+
+    @pytest.mark.parametrize("n", [20, 40, 70])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_empty_and_one_row(self, n, m):
+        keys = np.zeros((m, n_words(n)), dtype=np.uint64)
+        assert not_above_previous(keys).tolist() == [False] * m
+
+    @pytest.mark.parametrize("n", [20, 40, 70])
+    @given(repeats=st.integers(0, 10), **key_tables)
+    def test_matches_words_and_ints(self, n, seed, size, first_words,
+                                    zero_second, repeats):
+        rng = np.random.default_rng(seed)
+        keys = random_keys(rng, n, size, first_words=first_words,
+                           zero_second=zero_second and n > QUBITS_PER_WORD,
+                           repeats=repeats)
+        assert not_above_previous(pack_keys(keys, n)).tolist() == \
+            [i > 0 and keys[i] <= keys[i - 1] for i in range(len(keys))]
+        rows = pack_keys(sorted(keys), n)
+        assert not_above_previous(rows).tolist() == \
+            [i > 0 and bool((rows[i] == rows[i - 1]).all())
+             for i in range(len(keys))]

@@ -742,6 +742,18 @@ class TestRunItpp:
                      start_step=1)
         assert gates_run == []
 
+    def test_initial_state_normalized_by_its_trace(self):
+        # 0.5 I + 0.1 ZZII is the state I + 0.2 ZZII: purity 1.04, not 0.26
+        h = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.04, 0.2)
+        _, scaled = run_itpp(h, sched, initial_state=PauliSum.from_terms(
+            4, [(0.5, "IIII"), (0.1, "ZZII")]))
+        _, unit = run_itpp(h, sched, initial_state=PauliSum.from_terms(
+            4, [(1.0, "IIII"), (0.2, "ZZII")]))
+        assert scaled[0].purity == pytest.approx(1.04, abs=1e-15)
+        assert [(r.energy, r.purity, r.n_terms) for r in scaled] == \
+            [(r.energy, r.purity, r.n_terms) for r in unit]
+
     def test_deterministic_rerun_bit_identical(self):
         h = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
         sched = ScheduleConfig(0.04, 1.0)
@@ -1111,8 +1123,8 @@ class TestRelativeError:
         assert relative_error(0.0, -2.0) == 1.0
 
     def test_zero_reference(self):
-        with pytest.raises(ZeroDivisionError):
-            relative_error(1.0, 0.0)
+        assert relative_error(1.0, 0.0) is None
+        assert relative_error(1.0, None) is None
 
 
 def brute_force_support(hamiltonian):
