@@ -507,9 +507,11 @@ def cmd_resume(args) -> int:
     kept_rows = []
     if os.path.exists(traj_path):
         with open(traj_path) as f:
-            kept_rows = [line.rstrip("\n") for line in f
-                         if not line.startswith(("#", "tau,"))
-                         and float(line.split(",", 1)[0]) <= tau]
+            kept_rows = [
+                line.rstrip("\n") for lineno, line in enumerate(f, start=1)
+                if not line.startswith(("#", "tau,"))
+                and _number(f"{traj_path}:{lineno}",
+                            line.split(",", 1)[0]) <= tau]
     return report(run_single(cfg, resume_from=(state, step, kept_rows)))
 
 

@@ -120,8 +120,11 @@ def hamiltonian_from_file(path: str) -> Hamiltonian:
                 if len(parts) != 2:
                     raise ValueError("expected 'coefficient pauli_string'")
                 width = entries[0][1].n_qubits if entries else len(parts[1])
-                entries.append((float(parts[0]),
-                                require_width(parts[1], width, "term")))
+                c = float(parts[0])
+                if not math.isfinite(c):
+                    raise ValueError(f"coefficient {c!r} of {parts[1]} is "
+                                     "not finite")
+                entries.append((c, require_width(parts[1], width, "term")))
             except ValueError as err:
                 raise ValueError(f"{path}:{lineno}: {err}") from None
     if not entries:

@@ -18,6 +18,7 @@ independently built sums.
 from __future__ import annotations
 
 import io
+import itertools
 import math
 import re
 import zlib
@@ -148,8 +149,6 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
     Exact zeros always drop, as do entries below ``drop_relative`` times the
     largest magnitude; ``drop_relative=0.0`` keeps every float residue.
     """
-    if keys.shape[0] == 0:
-        return keys, coeffs, indices
     order = canonical_argsort(keys)
     keys = take_rows(keys, order)
     coeffs = coeffs[order]
@@ -176,29 +175,23 @@ class PauliSum:
 
     __slots__ = ("n_qubits", "_keys", "_coeffs", "_indices")
 
-    def __init__(self, n_qubits: int, keys: np.ndarray | None = None,
-                 coeffs: np.ndarray | None = None,
-                 indices: np.ndarray | None = None):
+    def __init__(self, n_qubits: int):
+        """The empty sum; arrays enter only through :meth:`_from_raw`."""
         if n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        width = n_words(n_qubits)
-        if keys is None:
-            keys = np.zeros((0, width), dtype=np.uint64)
-            coeffs = np.zeros(0, dtype=np.float64)
-            indices = np.zeros(0, dtype=np.int64)
         self.n_qubits = n_qubits
-        self._keys = keys
-        self._coeffs = coeffs
-        self._indices = indices
+        self._keys = np.zeros((0, n_words(n_qubits)), dtype=np.uint64)
+        self._coeffs = np.zeros(0, dtype=np.float64)
+        self._indices = np.zeros(0, dtype=np.int64)
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def identity(cls, n_qubits: int) -> "PauliSum":
-        width = n_words(n_qubits)
-        return cls(
+        return cls._from_raw(
             n_qubits,
-            np.zeros((1, width), dtype=np.uint64),
+            # PauliString refuses a width below 1, as __init__ does
+            PauliString.identity(n_qubits).words()[None, :],
             np.ones(1, dtype=np.float64),
             np.zeros(1, dtype=np.int64),
         )
@@ -230,12 +223,16 @@ class PauliSum:
         karr = np.stack(keys)
         carr = np.asarray(coeffs, dtype=np.float64)
         iarr = np.arange(len(coeffs), dtype=np.int64)
-        return cls(n_qubits, *_coalesce(karr, carr, iarr))
+        return cls._from_raw(n_qubits, *_coalesce(karr, carr, iarr))
 
     @classmethod
     def _from_raw(cls, n_qubits: int, keys, coeffs, indices) -> "PauliSum":
-        """Trusted constructor: arrays already canonical and merged."""
-        return cls(n_qubits, keys, coeffs, indices)
+        """Trusted constructor, the only door for arrays: they must already
+        be canonical and merged, and are stored without a check."""
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out._keys, out._coeffs, out._indices = keys, coeffs, indices
+        return out
 
     # -- inspection ---------------------------------------------------------
 
@@ -292,7 +289,7 @@ class PauliSum:
 
     def __repr__(self) -> str:
         preview = ", ".join(
-            f"{c:+.6g}*{s}" for s, c in list(self.items())[:4]
+            f"{c:+.6g}*{s}" for s, c in itertools.islice(self.items(), 4)
         )
         more = "" if len(self) <= 4 else f", ... ({len(self)} terms)"
         return f"PauliSum({preview}{more})"

@@ -30,13 +30,6 @@ from .propagate import ScheduleConfig
 
 DEFAULT_MAX_QUBITS = 14
 
-_SINGLE = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 
 class SizeGuardError(ValueError):
     """The requested dense computation exceeds the qubit guard."""
@@ -49,41 +42,52 @@ def _check_guard(n_qubits: int, max_qubits: int) -> None:
         )
 
 
+def _pauli_columns(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Row and value of the one nonzero entry in each column ``b`` of the
+    matrix of ``p``: ``P|b> = i^(#Y) (-1)^popcount(b & z) |b ^ x>``, with
+    qubit 0 the most significant bit of ``b``."""
+    b = np.arange(2 ** p.n_qubits)
+    x, z = p.x_bits, p.z_bits
+    sign = 1.0 - 2.0 * (np.bitwise_count(b & z) & 1)
+    return b ^ x, 1j ** (x & z).bit_count() * sign
+
+
+def _dense(n_qubits: int, terms) -> np.ndarray:
+    """Dense ``sum c P`` over ``(c, P)`` pairs, added term by term."""
+    dim = 2 ** n_qubits
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    columns = np.arange(dim)
+    for c, p in terms:
+        rows, values = _pauli_columns(p)
+        out[rows, columns] += c * values
+    return out
+
+
 def pauli_matrix(p: PauliString) -> np.ndarray:
     """Dense matrix of a Pauli string (qubit 0 = leftmost tensor factor)."""
-    m = np.array([[1.0 + 0j]])
-    for q in range(p.n_qubits):
-        m = np.kron(m, _SINGLE[p.letter(q)])
-    return m
+    return _dense(p.n_qubits, [(1.0, p)])
 
 
 def pauli_sum_matrix(a: PauliSum) -> np.ndarray:
     """Dense matrix of a sparse Pauli expansion."""
-    dim = 2 ** a.n_qubits
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for s, c in a.items():
-        out += c * pauli_matrix(s)
-    return out
+    return _dense(a.n_qubits, ((c, s) for s, c in a.items()))
 
 
 def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    dim = 2 ** h.n_qubits
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for c, p in h.terms:
-        out += c * pauli_matrix(p)
-    return out
+    return _dense(h.n_qubits, h.terms)
 
 
 def hamiltonian_sparse(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
     import scipy.sparse as sparse
 
-    single = {k: sparse.csr_matrix(v) for k, v in _SINGLE.items()}
     dim = 2 ** h.n_qubits
     out = sparse.csr_matrix((dim, dim), dtype=np.complex128)
     for c, p in h.terms:
-        m = sparse.csr_matrix(np.array([[1.0 + 0j]]))
-        for q in range(h.n_qubits):
-            m = sparse.kron(m, single[p.letter(q)], format="csr")
+        # column b's entry sits in row b ^ x, an involution, so row r
+        # holds column rows[r] and that column's value
+        rows, values = _pauli_columns(p)
+        m = sparse.csr_matrix((values[rows], rows, np.arange(dim + 1)),
+                              shape=(dim, dim))
         out = out + c * m
     return out
 

@@ -68,9 +68,7 @@ def _z_half_int(width_words: int) -> int:
 
 def _pair_shift(qubit: int, n_qubits: int) -> int:
     """Bit position of the z bit of ``qubit`` inside the full integer key."""
-    word, slot = divmod(qubit, QUBITS_PER_WORD)
-    pair = QUBITS_PER_WORD - 1 - slot
-    return 64 * (n_words(n_qubits) - 1 - word) + 2 * pair
+    return 64 * n_words(n_qubits) - 2 - 2 * qubit
 
 
 @dataclass(frozen=True)
@@ -102,8 +100,8 @@ class PauliString:
     """An n-qubit Pauli string; Hermitian, squares to the identity.
 
     ``key`` is the packed symplectic integer described in the module
-    docstring.  Instances are immutable and hashable; build them with
-    :func:`pauli_from_text`, :meth:`from_xz`, or :meth:`identity`.
+    docstring.  Instances are immutable and hashable; build them from text
+    (:func:`pauli_from_text`), from a key, or with :meth:`identity`.
     """
 
     n_qubits: int
@@ -121,38 +119,24 @@ class PauliString:
     def identity(cls, n_qubits: int) -> "PauliString":
         return cls(n_qubits, 0)
 
-    @classmethod
-    def from_xz(cls, x_bits: int, z_bits: int, n_qubits: int) -> "PauliString":
-        """Build from n-bit integers (qubit 0 = most significant bit)."""
-        if x_bits >> n_qubits or z_bits >> n_qubits or x_bits < 0 or z_bits < 0:
-            raise ValueError("x_bits/z_bits do not fit in n_qubits bits")
-        key = 0
-        for q in range(n_qubits):
-            shift = n_qubits - 1 - q
-            x = (x_bits >> shift) & 1
-            z = (z_bits >> shift) & 1
-            key |= ((x << 1) | z) << _pair_shift(q, n_qubits)
-        return cls(n_qubits, key)
+    def _bits(self, offset: int) -> int:
+        """Bit ``offset`` of every qubit's pair (1 = x, 0 = z) as an n-bit
+        integer, qubit 0 most significant."""
+        out = 0
+        for q in range(self.n_qubits):
+            out = (out << 1) | (
+                (self.key >> (_pair_shift(q, self.n_qubits) + offset)) & 1)
+        return out
 
     @property
     def x_bits(self) -> int:
         """X components as an n-bit integer, qubit 0 most significant."""
-        out = 0
-        for q in range(self.n_qubits):
-            out |= ((self.key >> (_pair_shift(q, self.n_qubits) + 1)) & 1) << (
-                self.n_qubits - 1 - q
-            )
-        return out
+        return self._bits(1)
 
     @property
     def z_bits(self) -> int:
         """Z components as an n-bit integer, qubit 0 most significant."""
-        out = 0
-        for q in range(self.n_qubits):
-            out |= ((self.key >> _pair_shift(q, self.n_qubits)) & 1) << (
-                self.n_qubits - 1 - q
-            )
-        return out
+        return self._bits(0)
 
     @property
     def is_identity(self) -> bool:
@@ -181,10 +165,7 @@ class PauliString:
 
 def valid_key_mask(n_qubits: int) -> int:
     """Mask of key bits that may be nonzero for an ``n_qubits`` string."""
-    mask = 0
-    for q in range(n_qubits):
-        mask |= 3 << _pair_shift(q, n_qubits)
-    return mask
+    return ((1 << 2 * n_qubits) - 1) << _pair_shift(n_qubits - 1, n_qubits)
 
 
 def key_to_words(key: int, width_words: int) -> np.ndarray:
@@ -427,36 +408,33 @@ def anticommute_mask(keys: np.ndarray, gen_words: np.ndarray) -> np.ndarray:
     return (np.bitwise_count(sym) & 1).astype(bool)
 
 
-def phase_exponent(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``k mod 4`` of ``multiply(left, right)`` row by row.
+def phase_exponent(row: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``k mod 4`` of ``multiply(row, key)`` for every packed row of ``keys``.
 
-    Either operand may be a single packed row of shape ``(n_words,)``, which
-    broadcasts against the other's ``(m, n_words)`` rows.  Then only that
-    row's nonzero words are read: where it is zero, the other operand's Y
-    count ``c`` enters as ``c + 3c = 4c``, which is 0 mod 4.
+    Only the nonzero words of the single ``(n_words,)`` row are read: where
+    it is zero, a key's Y count ``c`` enters as ``c + 3c = 4c``, which is 0
+    mod 4.
     """
-    single = left if left.ndim == 1 else right if right.ndim == 1 else None
-    if single is not None:
-        span = _word_span(single)
-        left, right = left[..., span], right[..., span]
+    span = _word_span(row)
+    row, keys = row[span], keys[:, span]
     # an empty span (the identity row) takes the summing path: k = 0
-    wide = left.shape[-1] != 1
+    wide = row.shape[0] != 1
     if not wide:
         # one-word rows: work on the uint64 column, with no sum over words
-        left, right = left[..., 0], right[..., 0]
+        row, keys = row[0], keys[:, 0]
 
     def count(bits):
         c = np.bitwise_count(bits)
         return c.sum(axis=-1, dtype=np.int64) if wide else c
 
     # x bits moved onto the z positions, so ``s & x_s`` marks the Y factors
-    x_left = (left >> _ONE) & _Z_HALF
-    x_right = (right >> _ONE) & _Z_HALF
-    prod = left ^ right
+    x_row = (row >> _ONE) & _Z_HALF
+    x_keys = (keys >> _ONE) & _Z_HALF
+    prod = row ^ keys
     # -c(R) is taken as +3 c(R) (mod 4), so the one-word uint8 counts never
     # go negative: the sum stays at most 32 + 32 + 64 + 96 < 256
-    k = (count(left & x_left) + count(right & x_right)
-         + 2 * count(left & x_right) + 3 * count(prod & (x_left ^ x_right)))
+    k = (count(row & x_row) + count(keys & x_keys)
+         + 2 * count(row & x_keys) + 3 * count(prod & (x_row ^ x_keys)))
     return (k & 3).astype(np.int8)
 
 
@@ -480,8 +458,8 @@ def split_xz_bits(keys: np.ndarray,
 
 
 def join_xz_bits(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`split_xz_bits`: packed rows from 0/1 bit columns;
-    the row form of :meth:`PauliString.from_xz`."""
+    """Inverse of :func:`split_xz_bits`: packed rows from 0/1 bit
+    columns."""
     m, n_qubits = x.shape
     bits = np.zeros((m, 64 * n_words(n_qubits)), dtype=np.uint8)
     bits[:, 0:2 * n_qubits:2] = x

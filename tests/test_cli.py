@@ -468,6 +468,24 @@ class TestResume:
         assert "no 'step = ' header" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("row", ["\n", "abc,-1.0,,3,1.0\n"],
+                             ids=["blank", "text-tau"])
+    def test_unreadable_trajectory_row_named(self, tmp_path, row):
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.12",
+                      "--stop-after-step", "1", "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        traj = out / "trajectory.csv"
+        with traj.open("a") as f:
+            f.write(row)
+        lineno = len(traj.read_text().splitlines())
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert f"error: {traj}:{lineno}: " in res.stderr
+        assert "Traceback" not in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_negative_stop_exits_2(self, tmp_path):
         out = tmp_path / "inter"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",

@@ -77,6 +77,11 @@ class TestHamiltonianFromTerms:
         assert len(ham) == 1
         assert ham.terms[0][0] == 2.0
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_qubits_rejected(self, n):
+        with pytest.raises(ValueError, match="n_qubits must be positive"):
+            Hamiltonian(n, [])
+
     def test_width_error(self):
         with pytest.raises(DimensionMismatchError):
             Hamiltonian(2, [(1.0, "ZZZ")])
@@ -134,7 +139,8 @@ class TestTermFile:
         ("abc ZZ", "2: could not convert string to float: 'abc'"),
         ("1.0 XQ", "2: invalid Pauli letter 'Q' at position 1"),
         ("-1.0 ZZ\n0.5 XXX", "3: term acts on 3 qubits, not 2"),
-    ], ids=["coefficient", "letter", "width"])
+        ("1.0 ZZ\ninf XX", "3: coefficient inf of XX is not finite"),
+    ], ids=["coefficient", "letter", "width", "non-finite"])
     def test_error_names_path_and_line(self, tmp_path, text, named):
         path = tmp_path / "bad.txt"
         path.write_text("# model\n" + text + "\n")

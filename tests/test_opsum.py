@@ -1,6 +1,7 @@
 """PauliSum operations against dense-trace oracles, plus truncation rules."""
 
 import io
+import itertools
 import math
 import struct
 import zlib
@@ -94,6 +95,69 @@ class TestConstruction:
         assert texts == sorted(
             texts, key=lambda t: PauliSum.from_terms(2, [(1, t)])._keys[0, 0]
         )
+
+    # the states that broke a run when the constructor took arrays
+    @pytest.mark.parametrize("keys, coeffs", [
+        pytest.param(np.array([[3 << 60], [0]], dtype=np.uint64), [0.5, 1.0],
+                     id="reverse-order"),
+        pytest.param(np.array([[0], [3 << 60], [3 << 60]], dtype=np.uint64),
+                     [1.0, 0.5, 0.5], id="repeated-row"),
+        pytest.param(np.array([[0], [3 << 60]], dtype=np.int64), [1.0, 0.5],
+                     id="int64-keys"),
+        pytest.param(np.array([[0], [3 << 60]], dtype=np.uint64), [0.5, 0.5],
+                     id="identity-one-half"),
+    ])
+    def test_arrays_do_not_enter_through_the_constructor(self, keys, coeffs):
+        indices = np.arange(len(coeffs), dtype=np.int64)
+        with pytest.raises(TypeError):
+            PauliSum(2, keys, np.array(coeffs), indices)
+
+    @pytest.mark.parametrize("check", [
+        pytest.param(lambda: len(PauliSum.from_terms(3, [])) == 0,
+                     id="from-no-terms"),
+        pytest.param(lambda: PauliSum.from_terms(2, [(1.0, "ZZ")])
+                     .coefficient("XX") == 0.0, id="absent-coefficient"),
+        pytest.param(lambda: overlap(PauliSum(2), PauliSum.identity(2)) == 0.0,
+                     id="overlap-empty-left"),
+        pytest.param(lambda: overlap(PauliSum.identity(2), PauliSum(2)) == 0.0,
+                     id="overlap-empty-right"),
+    ])
+    def test_empty_and_absent_read_as_zero(self, check):
+        assert check()
+
+    @pytest.mark.parametrize("build, error, named", [
+        pytest.param(lambda: PauliSum(0), ValueError,
+                     "n_qubits must be positive", id="no-qubits"),
+        pytest.param(lambda: PauliSum.identity(0), ValueError,
+                     "n_qubits must be positive", id="identity-no-qubits"),
+        pytest.param(lambda: FixedK(0), ValueError, "k must be positive",
+                     id="fixed-k-0"),
+        pytest.param(lambda: WeightCutoff(0), ValueError,
+                     "max_weight must be positive", id="weight-0"),
+        pytest.param(lambda: PauliSum.from_terms(2, [(1.0, "ZZ")])
+                     .insertion_index("XX"), KeyError, "XX not present",
+                     id="absent-insertion-index"),
+    ])
+    def test_guards(self, build, error, named):
+        with pytest.raises(error, match=named):
+            build()
+
+    def test_repr_builds_only_the_strings_it_shows(self, monkeypatch):
+        texts = ["".join(t) for t in itertools.product("IXYZ", repeat=5)]
+        a = PauliSum.from_terms(5, [(1.0 + i, t)
+                                    for i, t in enumerate(texts[:1000])])
+        expected = repr(a)
+        built = []
+
+        class Counting(opsum_module.PauliString):
+            def __post_init__(self):
+                built.append(self.key)
+                super().__post_init__()
+
+        monkeypatch.setattr(opsum_module, "PauliString", Counting)
+        assert repr(a) == expected
+        assert expected.endswith(", ... (1000 terms))")
+        assert len(built) == 4
 
 
 class TestNormalizedTrace:
@@ -502,7 +566,7 @@ class TestSerialization:
 
     def test_complex_rejected(self):
         z = PauliSum.from_terms(1, [(1.0, "Z")])
-        iz = PauliSum(1, z._keys, np.array([1j]), z._indices)
+        iz = PauliSum._from_raw(1, z._keys, np.array([1j]), z._indices)
         with pytest.raises(TypeError):
             dumps_pauli_sum(iz)
 
@@ -761,6 +825,8 @@ class TestCorruptCheckpoints:
          "# rows = 0 crc32 = 00000000\n", "n_qubits = 1000000000000"),
         ("# pauli-sum v1\nn_qubits = 3\nn_terms = 0\n",
          "pauli-sum v1 is no longer read; paulievo at commit 130b57c"),
+        ("# pauli-sum v3\nn_qubits = 3\nn_terms = 0\n",
+         "unrecognized checkpoint header: '# pauli-sum v3'"),
     ])
     def test_bad_header_rejected(self, header, message):
         with pytest.raises(ValueError, match=message):

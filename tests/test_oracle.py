@@ -21,12 +21,13 @@ from paulievo import (
 )
 from paulievo.oracle import (
     hamiltonian_matrix,
+    hamiltonian_sparse,
     imaginary_conjugation_matrix,
     pauli_matrix,
     real_conjugation_matrix,
 )
 
-from helpers import random_pauli_text
+from helpers import all_pauli_texts, random_pauli_text
 
 
 def minus_z():
@@ -97,6 +98,35 @@ class TestDenseTrotterIte:
         ham = build_tfim(TfimParams(N=15))
         with pytest.raises(SizeGuardError):
             dense_trotter_ite(ham, ScheduleConfig(0.1, 0.2), [ham.to_sum()])
+
+
+class TestPauliMatrix:
+    """The closed form ``P|b> = i^(#Y) (-1)^popcount(b & z) |b ^ x>``
+    against the textbook Kronecker product of 2x2 matrices."""
+
+    SINGLE = {
+        "I": np.eye(2),
+        "X": np.array([[0, 1], [1, 0]]),
+        "Y": np.array([[0, -1j], [1j, 0]]),
+        "Z": np.diag([1, -1]),
+    }
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_kron_product(self, n):
+        for text in all_pauli_texts(n):
+            expected = np.array([[1.0]])
+            for letter in text:
+                expected = np.kron(expected, self.SINGLE[letter])
+            assert np.array_equal(pauli_matrix(pauli_from_text(text)),
+                                  expected), text
+
+    def test_sparse_matches_dense_with_y_terms(self):
+        rng = np.random.default_rng(4)
+        ham = Hamiltonian(4, [(float(rng.normal()), random_pauli_text(rng, 4))
+                              for _ in range(12)])
+        assert any("Y" in str(p) for _, p in ham.terms)
+        assert np.array_equal(hamiltonian_sparse(ham).toarray(),
+                              hamiltonian_matrix(ham))
 
 
 class TestConjugationHelpers:

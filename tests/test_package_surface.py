@@ -1,10 +1,11 @@
 """Every public name in the package is used by the package or exported,
 and no two of its functions share a body.
 
-A public top-level function or class, or a public method, that nothing in
-``src/paulievo`` references and ``paulievo.__all__`` does not list exists
-only for tests or for no one.  Such a name belongs in ``tests/helpers.py``
-or nowhere, unless it is listed below with the reason it stays.
+A public top-level function or class that nothing in ``src/paulievo``
+references, or a public method that nothing there reads as an attribute,
+and that ``paulievo.__all__`` does not list exists only for tests or for no
+one.  Such a name belongs in ``tests/helpers.py`` or nowhere, unless it is
+listed below with the reason it stays.
 """
 
 import ast
@@ -26,20 +27,22 @@ ALLOWED = {
     "opsum.PauliSum.insertion_index": "public inspection of a sum's lineage",
     "models.Hamiltonian.identity_coefficient":
         "public inspection of a Hamiltonian's constant",
-    "pauli.PauliString.from_xz":
-        "constructor from x and z bits, named in the class docstring",
+    "pauli.Phase.value":
+        "the value of the exported Phase that multiply returns",
     "propagate.Trajectory.final": "the run's last record, as README shows",
     "propagate.Trajectory.energies":
         "the energy curve, which the benchmark checks",
 }
 
 
-def _references(tree: ast.AST) -> collections.Counter:
-    """How often each identifier is read as a name or an attribute."""
+def _references(tree: ast.AST, attributes_only: bool = False
+                ) -> collections.Counter:
+    """How often each identifier is read as an attribute (``obj.name``)
+    and, unless ``attributes_only``, as a name."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return collections.Counter(
         node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        for node in ast.walk(tree) if isinstance(node, kinds)
     )
 
 
@@ -66,14 +69,18 @@ def unused_public_names() -> list[str]:
     """Qualified names defined public in the package that nothing else in
     it references and ``__all__`` does not export."""
     trees = _package_trees()
-    total = collections.Counter()
-    for tree in trees.values():
-        total += _references(tree)
+    total = {method: sum((_references(t, method) for t in trees.values()),
+                         collections.Counter())
+             for method in (False, True)}
     unused = []
     for module, tree in trees.items():
         for qualname, node in _public_definitions(tree):
+            # a method or property is used only as an attribute, so a local
+            # or a parameter of the same name does not hide it
+            method = "." in qualname
             # references from inside the definition itself do not count
-            elsewhere = total[node.name] - _references(node)[node.name]
+            elsewhere = (total[method][node.name]
+                         - _references(node, method)[node.name])
             if node.name not in paulievo.__all__ and elsewhere == 0:
                 unused.append(f"{module}.{qualname}")
     return unused

@@ -13,6 +13,7 @@ import paulievo
 import paulievo.opsum as opsum_module
 import paulievo.propagate as propagate_module
 from paulievo import (
+    DegenerateStateError,
     DimensionMismatchError,
     FixedK,
     GateSpec,
@@ -23,6 +24,8 @@ from paulievo import (
     TfimParams,
     Threshold,
     TraceCollapseError,
+    Trajectory,
+    TrajectoryRecord,
     WeightCutoff,
     apply_imaginary_gate,
     apply_real_gate,
@@ -1201,3 +1204,42 @@ class TestTwoWordKernelsInRun:
         assert np.array_equal(state._indices, ref_state._indices)
         assert records == ref_records
         assert estimate == ref_estimate
+
+
+def _trajectory_at(*taus):
+    traj = Trajectory()
+    for tau in taus:
+        traj.append(TrajectoryRecord(tau, 0.0, None, 1, 1.0, None))
+    return traj
+
+
+class TestGuards:
+    @pytest.mark.parametrize("build, error, named", [
+        pytest.param(lambda: _trajectory_at(0.0, 0.04, 0.04), ValueError,
+                     "strictly increasing", id="repeated-tau"),
+        pytest.param(lambda: _trajectory_at(0.04, 0.0), ValueError,
+                     "strictly increasing", id="falling-tau"),
+        pytest.param(lambda: apply_real_gate(PauliSum.identity(2),
+                                             gate("ZZ", tau=0.1)),
+                     ValueError, "no theta", id="real-gate-without-theta"),
+        pytest.param(lambda: propagate_module._real_part(1.0, 1e-6),
+                     ValueError, "imaginary residue", id="imaginary-residue"),
+        pytest.param(
+            lambda: expectation_squared_state(PauliSum.identity(2),
+                                              PauliSum(2)),
+            DegenerateStateError, "zero purity", id="zero-purity"),
+        pytest.param(
+            lambda: reachable_support_size(Hamiltonian(2, [(0.5, "II")])),
+            ValueError, "no non-identity terms", id="identity-only-support"),
+    ])
+    def test_refused(self, build, error, named):
+        with pytest.raises(error, match=named):
+            build()
+
+    @pytest.mark.parametrize("apply, spec", [
+        (apply_imaginary_gate, gate("ZZ", tau=0.1)),
+        (apply_real_gate, gate("ZZ", theta=0.1)),
+    ], ids=["imaginary", "real"])
+    def test_gate_on_empty_sum_returns_it(self, apply, spec):
+        empty = PauliSum(2)
+        assert apply(empty, spec) is empty
