@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .opsum import (
     save_pauli_sum,
 )
 from .oracle import (
+    DEFAULT_MAX_QUBITS,
     SizeGuardError,
     bdg_ground_energy,
     dense_exact_ite,
@@ -54,19 +56,15 @@ from .propagate import (
 SCHEMA_TRAJECTORY = "itpp-trajectory v1"
 SCHEMA_SUMMARY = "itpp-summary v1"
 SCHEMA_SWEEP = "itpp-sweep v1"
+# the trajectory columns: the fields of a TrajectoryRecord, in its order,
+# before one column per observable
+COLUMNS = ("tau", "energy", "rel_error", "n_terms", "purity", "wall_time_s")
+SWEEP_KEYS = ("value", "status", "final_tau", "final_energy",
+              "final_rel_error", "final_n_terms", "max_n_terms", "error")
 TAU_CONVENTION = (
     "accumulated tau equals the inverse temperature beta; "
     "state ~ exp(-tau*H)"
 )
-
-CONFIG_SECTIONS = {
-    "model": ("kind", "N", "J", "h", "terms_file"),
-    "schedule": ("delta_tau", "tau_final"),
-    "truncation": ("truncation",),
-    "output": ("out_dir", "checkpoint_every"),
-    "run": ("observables", "record_per_gate", "stop_after_step",
-            "dense_guard"),
-}
 
 
 class ConfigError(ValueError):
@@ -155,24 +153,46 @@ def policy_text(policy) -> str:
     raise TypeError(f"unknown policy {policy!r}")
 
 
+def _setting(default, section: str, help: str, **flag):
+    """A field's default, INI section, and flag help and keywords."""
+    return field(default=default, metadata={
+        "section": section, "flag": {"help": help, **flag}})
+
+
 @dataclass
 class RunConfig:
-    """Everything one propagation run needs; all fields deterministic."""
+    """Everything one propagation run needs; all fields deterministic.
 
-    kind: str = "tfim"
-    N: int = 10
-    J: float = 1.0
-    h: float = 0.5
-    terms_file: str = ""
-    delta_tau: float = 0.04
-    tau_final: float = 10.0
-    truncation: str = "none"
-    observables: str = ""
-    out_dir: str = "itpp-run"
-    checkpoint_every: int = 0
-    record_per_gate: bool = False
-    stop_after_step: int = 0
-    dense_guard: int = 14
+    Each field is one setting: a config key in its section and a
+    ``--<name>`` flag.  The fields are ordered by section, the order of
+    the ``config.ini`` echo.
+    """
+
+    kind: str = _setting("tfim", "model", "model kind (default tfim)",
+                         choices=("tfim", "terms"))
+    N: int = _setting(10, "model", "TFIM chain length")
+    J: float = _setting(1.0, "model", "TFIM coupling")
+    h: float = _setting(0.5, "model", "TFIM transverse field")
+    terms_file: str = _setting("", "model",
+                               "plain-text Hamiltonian term file")
+    delta_tau: float = _setting(0.04, "schedule", "Trotter step size")
+    tau_final: float = _setting(10.0, "schedule", "final imaginary time")
+    truncation: str = _setting(
+        "none", "truncation", "none | threshold=D | fixed_k=K | weight=W, "
+        "comma-combinable (powers like 2^-7 accepted)")
+    out_dir: str = _setting("itpp-run", "output", "artifact directory")
+    checkpoint_every: int = _setting(
+        0, "output", "checkpoint every S Trotter steps (0 = off)")
+    observables: str = _setting(
+        "", "run", "comma-separated Pauli strings for extra columns")
+    record_per_gate: bool = _setting(
+        False, "run", "record a trajectory row after every gate",
+        action="store_const", const="true")
+    stop_after_step: int = _setting(0, "run",
+                                    "checkpoint and exit after S steps")
+    dense_guard: int = _setting(
+        DEFAULT_MAX_QUBITS, "run",
+        f"dense-oracle qubit ceiling (default {DEFAULT_MAX_QUBITS})")
 
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(delta_tau=self.delta_tau,
@@ -202,17 +222,22 @@ class RunConfig:
         return f"terms file={self.terms_file}"
 
     def observable_sums(self, n_qubits: int) -> list[tuple[str, PauliSum]]:
-        out = []
-        for text in filter(None, (s.strip() for s in
-                                  self.observables.split(","))):
-            out.append((text, PauliSum.from_terms(n_qubits, [(1.0, text)])))
-        return out
+        labels = filter(None, (s.strip() for s in self.observables.split(",")))
+        return [(text, PauliSum.from_terms(n_qubits, [(1.0, text)]))
+                for text in labels]
+
+
+_FIELDS = {f.name: f for f in fields(RunConfig)}
+CONFIG_SECTIONS = {
+    section: tuple(f.name for f in group) for section, group in
+    itertools.groupby(_FIELDS.values(), lambda f: f.metadata["section"])}
 
 
 def _config_parser() -> configparser.ConfigParser:
-    # values are taken as written: no %-interpolation, so a '%' in a path
-    # round-trips through the echo without escaping
-    parser = configparser.ConfigParser(interpolation=None)
+    # values are taken as written (no %-interpolation: a '%' in a path
+    # round-trips through the echo), and a [DEFAULT] section, whose keys
+    # would reach every other, is refused like any undeclared section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys like N and J are case-sensitive
     return parser
 
@@ -220,30 +245,31 @@ def _config_parser() -> configparser.ConfigParser:
 def load_config_file(path: str) -> dict:
     """Read the INI config into a flat ``{field: string}`` dict."""
     parser = _config_parser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(f"config file {path}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     flat = {}
-    for section, keys in CONFIG_SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    for section in parser.sections():
+        if section not in CONFIG_SECTIONS:
+            raise ConfigError(f"unknown section [{section}] in {path}")
         for key, value in parser.items(section):
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]"
-                )
+            if key not in CONFIG_SECTIONS[section]:
+                raise ConfigError(f"unknown key {key!r} in section "
+                                  f"[{section}] of {path}")
             flat[key] = value
     return flat
 
 
-_FIELD_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, text: str):
     """The one rule turning flag or config-file text into a field value."""
-    kind = _FIELD_TYPES[key]
+    kind = type(_FIELDS[key].default)
     if kind is bool:
         value = _BOOLEANS.get(text.strip().lower())
         if value is None:
@@ -264,12 +290,10 @@ def _config_from_texts(texts: dict) -> RunConfig:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit CLI flags."""
-    config = getattr(args, "config", None)
-    texts = load_config_file(config) if config else {}
-    for key in _FIELD_TYPES:
-        text = getattr(args, key, None)
-        if text is not None:
-            texts[key] = text
+    texts = load_config_file(args.config) if args.config else {}
+    for key in _FIELDS:
+        if getattr(args, key) is not None:
+            texts[key] = getattr(args, key)
     return _config_from_texts(texts)
 
 
@@ -319,7 +343,7 @@ def reference_for(cfg: RunConfig, hamiltonian: Hamiltonian):
 
 def trajectory_header(cfg: RunConfig, reference, ref_source,
                       obs_labels) -> list[str]:
-    lines = [
+    return [
         f"# schema: {SCHEMA_TRAJECTORY}",
         f"# tau_convention: {TAU_CONVENTION}",
         f"# model: {cfg.model_text()}",
@@ -327,24 +351,14 @@ def trajectory_header(cfg: RunConfig, reference, ref_source,
         f"# tau_final: {_fmt(cfg.tau_final)}",
         f"# policy: {policy_text(cfg.policy())}",
         f"# reference_energy: {_fmt(reference)} (source: {ref_source})",
+        ",".join([*COLUMNS, *(f"obs:{label}" for label in obs_labels)]),
     ]
-    cols = ["tau", "energy", "rel_error", "n_terms", "purity", "wall_time_s"]
-    cols += [f"obs:{label}" for label in obs_labels]
-    lines.append(",".join(cols))
-    return lines
 
 
-def record_row(record) -> str:
-    cells = [
-        _fmt(record.tau),
-        _fmt(record.energy),
-        _fmt(record.relative_error),
-        _fmt(record.n_terms),
-        _fmt(record.purity),
-        _fmt(record.wall_time_s),
-    ]
-    cells += [_fmt(v) for v in record.observable_values]
-    return ",".join(cells)
+def record_row(record: TrajectoryRecord) -> str:
+    *cells, observable_values = (getattr(record, f.name)
+                                 for f in fields(record))
+    return ",".join(_fmt(v) for v in (*cells, *observable_values))
 
 
 def write_trajectory(path: str, header: list[str], rows: list[str]) -> None:
@@ -429,16 +443,10 @@ def run_single(cfg: RunConfig, *, resume_from=None) -> dict:
     }
     if rows:
         cells = [row.split(",") for row in rows]
-        tau, energy, rel_error, n_terms, purity, wall = cells[-1][:6]
-        summary.update({
-            "final_tau": tau,
-            "final_energy": energy,
-            "final_rel_error": rel_error,
-            "final_n_terms": n_terms,
-            "final_purity": purity,
-            "max_n_terms": max(int(c[3]) for c in cells),
-            "total_wall_time_s": wall,
-        })
+        *final, wall = cells[-1][:len(COLUMNS)]
+        summary.update(zip([f"final_{c}" for c in COLUMNS], final))
+        summary["max_n_terms"] = max(int(c[3]) for c in cells)
+        summary["total_wall_time_s"] = wall
     if error_text:
         summary["error"] = error_text
     header = trajectory_header(cfg, reference, ref_source,
@@ -507,11 +515,15 @@ def cmd_resume(args) -> int:
     kept_rows = []
     if os.path.exists(traj_path):
         with open(traj_path) as f:
-            kept_rows = [
-                line.rstrip("\n") for lineno, line in enumerate(f, start=1)
-                if not line.startswith(("#", "tau,"))
-                and _number(f"{traj_path}:{lineno}",
-                            line.split(",", 1)[0]) <= tau]
+            for lineno, line in enumerate(f, start=1):
+                if line.startswith(("#", "tau,")):
+                    continue
+                where = f"{traj_path}:{lineno}"
+                value = _number(where, line.split(",", 1)[0])
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}: tau {value!r} is not finite")
+                if value <= tau:
+                    kept_rows.append(line.rstrip("\n"))
     return report(run_single(cfg, resume_from=(state, step, kept_rows)))
 
 
@@ -539,14 +551,12 @@ def cmd_exact(args) -> int:
     header = trajectory_header(cfg, reference, ref_source,
                                [label for label, _ in obs])
     for filename, curve in curves:
-        rows = []
-        for tau, values, purity in zip(curve.taus, curve.values,
-                                       curve.purities):
-            energy = values[0]
-            # n_terms has no dense meaning; wall time is not tracked
-            rows.append(record_row(TrajectoryRecord(
-                tau, energy, relative_error(energy, reference), None, purity,
-                None, tuple(values[1:]))))
+        # n_terms has no dense meaning; wall time is not tracked
+        rows = [record_row(TrajectoryRecord(
+                    tau, values[0], relative_error(values[0], reference),
+                    None, purity, None, tuple(values[1:])))
+                for tau, values, purity in zip(curve.taus, curve.values,
+                                               curve.purities)]
         path = os.path.join(cfg.out_dir, filename)
         write_trajectory(path, header, rows)
         print(f"wrote {path}")
@@ -593,31 +603,23 @@ def cmd_sweep(args) -> int:
             cfg.out_dir = os.path.join(
                 base.out_dir, "points", f"{args.axis}={raw}"
             )
-            summary = run_single(cfg)
-            results.append((raw, summary, None))
+            # the error field of a point that ran stays empty, even when
+            # its summary holds a trace collapse
+            results.append({**run_single(cfg), "value": raw, "error": ""})
         except Exception as err:  # per-point failures must not end the sweep
-            results.append((raw, None, f"{type(err).__name__}: {err}"))
+            results.append({"value": raw, "status": "failed",
+                            "error": f"{type(err).__name__}: {err}"})
     sweep_path = os.path.join(base.out_dir, "sweep.csv")
     with open(sweep_path, "w") as f:
         f.write(f"# schema: {SCHEMA_SWEEP}\n")
         f.write(f"# axis: {args.axis}\n")
-        f.write("value,status,final_tau,final_energy,final_rel_error,"
-                "final_n_terms,max_n_terms,error\n")
-        for raw, summary, error in results:
-            if summary is None:
-                f.write(f"{_csv_field(raw)},failed,,,,,,"
-                        f"{_csv_field(error, quoted=True)}\n")
-            else:
-                f.write(",".join([
-                    _csv_field(raw),
-                    summary["status"],
-                    _fmt(summary.get("final_tau")),
-                    _fmt(summary.get("final_energy")),
-                    _fmt(summary.get("final_rel_error")),
-                    _fmt(summary.get("final_n_terms")),
-                    _fmt(summary.get("max_n_terms")),
-                    "",
-                ]) + "\n")
+        f.write(",".join(SWEEP_KEYS) + "\n")
+        for result in results:
+            # a failed point's error is quoted whatever it holds
+            f.write(",".join(
+                _csv_field(_fmt(result.get(key)),
+                           quoted=key == "error" and bool(result["error"]))
+                for key in SWEEP_KEYS) + "\n")
     print(f"wrote {sweep_path}")
     return 0
 
@@ -627,36 +629,18 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_setting_flag(p: argparse.ArgumentParser, name: str,
+                      **override) -> None:
+    p.add_argument("--" + name.replace("_", "-"),
+                   **{**_FIELDS[name].metadata["flag"], **override})
+
+
+def _add_setting_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` and a flag per setting; a flag not given is ``None``,
+    so the config file's value or the default stands."""
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--kind", choices=("tfim", "terms"),
-                   help="model kind (default tfim)")
-    p.add_argument("--N", help="TFIM chain length")
-    p.add_argument("--J", help="TFIM coupling")
-    p.add_argument("--h", help="TFIM transverse field")
-    p.add_argument("--terms-file", dest="terms_file",
-                   help="plain-text Hamiltonian term file")
-    p.add_argument("--delta-tau", dest="delta_tau", help="Trotter step size")
-    p.add_argument("--tau-final", dest="tau_final",
-                   help="final imaginary time")
-    p.add_argument("--dense-guard", dest="dense_guard",
-                   help="dense-oracle qubit ceiling (default 14)")
-    p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
-
-
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--truncation",
-                   help="none | threshold=D | fixed_k=K | weight=W, "
-                        "comma-combinable (powers like 2^-7 accepted)")
-    p.add_argument("--observables",
-                   help="comma-separated Pauli strings for extra columns")
-    p.add_argument("--checkpoint-every", dest="checkpoint_every",
-                   help="checkpoint every S Trotter steps (0 = off)")
-    p.add_argument("--record-per-gate", dest="record_per_gate",
-                   action="store_const", const="true",
-                   help="record a trajectory row after every gate")
-    p.add_argument("--stop-after-step", dest="stop_after_step",
-                   help="checkpoint and exit after S steps")
+    for name in _FIELDS:
+        _add_setting_flag(p, name)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -667,12 +651,11 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run-itpp", help="propagate and record a trajectory")
-    _add_model_flags(p_run)
-    _add_run_flags(p_run)
+    _add_setting_flags(p_run)
     p_run.set_defaults(func=cmd_run_itpp)
 
     p_exact = sub.add_parser("exact", help="dense reference curves")
-    _add_model_flags(p_exact)
+    _add_setting_flags(p_exact)
     p_exact.add_argument("--method", choices=("exact", "trotter", "both"),
                          default="both")
     p_exact.set_defaults(func=cmd_exact)
@@ -680,14 +663,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_bdg = sub.add_parser("bdg", help="free-fermion TFIM ground energy")
     p_bdg.add_argument("--N", required=True,
                        help="chain length, or comma list of lengths")
-    p_bdg.add_argument("--J", default="1.0")
-    p_bdg.add_argument("--h", default="0.5")
+    p_bdg.add_argument("--J", default=str(RunConfig.J))
+    p_bdg.add_argument("--h", default=str(RunConfig.h))
     p_bdg.add_argument("--csv", help="also write (N,J,h,E0) rows here")
     p_bdg.set_defaults(func=cmd_bdg)
 
     p_sweep = sub.add_parser("sweep", help="one run per point of an axis")
-    _add_model_flags(p_sweep)
-    _add_run_flags(p_sweep)
+    _add_setting_flags(p_sweep)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values (2^-k accepted)")
@@ -695,8 +677,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_res = sub.add_parser("resume", help="continue from a checkpoint")
     p_res.add_argument("run_dir")
-    p_res.add_argument("--stop-after-step", dest="stop_after_step",
-                       default="0")
+    _add_setting_flag(p_res, "stop_after_step", default="0")
     p_res.set_defaults(func=cmd_resume)
 
     return parser

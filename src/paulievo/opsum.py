@@ -203,7 +203,7 @@ class PauliSum:
         """Build from ``(coefficient, string)`` pairs, merging duplicates.
 
         Insertion indices follow the order of ``terms``.  Coefficients must
-        be real.
+        be real and finite.
         """
         width = n_words(n_qubits)
         keys = []
@@ -216,8 +216,11 @@ class PauliSum:
                 if c.imag != 0:
                     raise TypeError("coefficients of a PauliSum are real")
                 c = c.real
+            c = float(c)
+            if not math.isfinite(c):
+                raise ValueError(f"coefficient {c!r} of {p} is not finite")
             keys.append(key_to_words(p.key, width))
-            coeffs.append(float(c))
+            coeffs.append(c)
         if not keys:
             return cls(n_qubits)
         karr = np.stack(keys)

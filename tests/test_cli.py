@@ -10,7 +10,7 @@ from dataclasses import fields
 import pytest
 
 from paulievo import FixedK, TfimParams, Threshold, WeightCutoff, bdg_ground_energy
-from paulievo import load_pauli_sum, save_pauli_sum
+from paulievo import TrajectoryRecord, load_pauli_sum, save_pauli_sum
 from paulievo import cli
 from paulievo.cli import (
     CONFIG_SECTIONS,
@@ -87,8 +87,28 @@ class TestConfigSchema:
         assert len(keys) == len(set(keys))
 
     def test_every_field_has_a_run_itpp_flag(self):
-        args = make_parser().parse_args(["run-itpp"])
-        assert {f.name for f in fields(RunConfig)} <= set(vars(args))
+        # run-itpp, exact and sweep take the same setting flags
+        names = {f.name for f in fields(RunConfig)}
+        for argv in (["run-itpp"], ["exact"],
+                     ["sweep", "--axis", "N", "--values", "3"]):
+            args = make_parser().parse_args(argv)
+            assert names <= set(vars(args))
+            assert {key: getattr(args, key) for key in names} == \
+                dict.fromkeys(names)
+
+    def test_columns_follow_the_record_fields(self):
+        # the record's fields in order, then its observable values
+        names = [f.name for f in fields(TrajectoryRecord)]
+        assert len(names) == len(cli.COLUMNS) + 1
+        assert names[-1] == "observable_values"
+
+    @pytest.mark.parametrize("command",
+                             ["run-itpp", "exact", "bdg", "sweep", "resume"])
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([command, "--help"])
+        assert exit_.value.code == 0
+        assert "usage: paulievo " + command in capsys.readouterr().out
 
     def test_flags_reach_coerce_as_text(self):
         argv = ["run-itpp"]
@@ -347,13 +367,23 @@ class TestRunItpp:
         assert "record_per_gate" in res.stderr
         assert not out.exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, named", [
+        ("[model]\nflavor = strange\n", "flavor"),
+        ("[model]\nN = 3\n[schedul]\ntau_final = 0.08\n", "[schedul]"),
+        ("[DEFAULT]\ntau_final = 0.08\n", "[DEFAULT]"),
+        ("[model]\nN = 3\nN = 4\n", "already exists"),
+        ("N = 3\n", "no section headers"),
+    ], ids=["unknown-key", "unknown-section", "default-section",
+            "repeated-key", "no-section-header"])
+    def test_unknown_config_key_rejected(self, tmp_path, text, named):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[model]\nflavor = strange\n")
-        res = run_cli("run-itpp", "--config", str(cfg),
-                      "--out-dir", str(tmp_path / "x"))
+        cfg.write_text(text)
+        out = tmp_path / "x"
+        res = run_cli("run-itpp", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 2
-        assert "flavor" in res.stderr
+        assert named in res.stderr and str(cfg) in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
 
     def test_term_file_model(self, tmp_path):
         terms = tmp_path / "model.txt"
@@ -468,8 +498,9 @@ class TestResume:
         assert "no 'step = ' header" in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("row", ["\n", "abc,-1.0,,3,1.0\n"],
-                             ids=["blank", "text-tau"])
+    @pytest.mark.parametrize(
+        "row", ["\n", "abc,-1.0,,3,1.0\n", "nan,1,2,3\n", "inf,1,2,3\n"],
+        ids=["blank", "text-tau", "nan-tau", "inf-tau"])
     def test_unreadable_trajectory_row_named(self, tmp_path, row):
         out = tmp_path / "inter"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.12",
@@ -680,6 +711,24 @@ class TestExact:
         res = run_cli("exact", "--N", "15", "--out-dir", str(tmp_path / "x"))
         assert res.returncode == 1
         assert "guard" in res.stderr
+
+    def test_flags_match_config_file(self, tmp_path):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[truncation]\ntruncation = threshold=2^-7\n"
+                       "[run]\nobservables = ZIII\n")
+        common = ("exact", "--N", "4", "--tau-final", "0.4")
+        for flags, out in (
+            (("--observables", "ZIII", "--truncation", "threshold=2^-7"),
+             "flags"),
+            (("--config", str(cfg)), "file"),
+        ):
+            res = run_cli(*common, *flags, "--out-dir", str(tmp_path / out))
+            assert res.returncode == 0, res.stderr
+        for name in ("exact_ite.csv", "trotter_ite.csv"):
+            text = (tmp_path / "flags" / name).read_text()
+            assert text == (tmp_path / "file" / name).read_text()
+            assert "# policy: threshold=0.0078125\n" in text
+            assert ",obs:ZIII\n" in text
 
     def test_overlay_matches_run_itpp(self, tmp_path):
         out_run = tmp_path / "run"

@@ -70,6 +70,13 @@ class TestConstruction:
         a = PauliSum.from_terms(1, [(0.0, "Z")])
         assert len(a) == 0
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, c):
+        # one such coefficient would otherwise set the drop floor, and the
+        # finite terms, the identity among them, would be lost
+        with pytest.raises(ValueError, match="of ZZ is not finite"):
+            PauliSum.from_terms(2, [(c, "ZZ"), (1.0, "II")])
+
     def test_complex_coefficients_rejected(self):
         with pytest.raises(TypeError):
             PauliSum.from_terms(1, [(1j, "Z")])
