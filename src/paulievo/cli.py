@@ -511,19 +511,32 @@ def cmd_resume(args) -> int:
             f"(expected {tau!r})"
         )
     # every row recorded up to the checkpointed step, per-gate rows
-    # included, has a tau no larger than the step's
+    # included, has a tau no larger than the step's; the trajectory is
+    # written only when a run ends, so a killed run may leave a checkpoint
+    # whose rows were never written
+    if not os.path.exists(traj_path):
+        raise ConfigError(f"{traj_path} is missing; the checkpoint is at "
+                          f"step {step} (tau {tau!r})")
     kept_rows = []
-    if os.path.exists(traj_path):
-        with open(traj_path) as f:
-            for lineno, line in enumerate(f, start=1):
-                if line.startswith(("#", "tau,")):
-                    continue
-                where = f"{traj_path}:{lineno}"
-                value = _number(where, line.split(",", 1)[0])
-                if not math.isfinite(value):
-                    raise ConfigError(f"{where}: tau {value!r} is not finite")
-                if value <= tau:
-                    kept_rows.append(line.rstrip("\n"))
+    last = None
+    reached = False
+    with open(traj_path) as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.startswith(("#", "tau,")):
+                continue
+            where = f"{traj_path}:{lineno}"
+            value = _number(where, line.split(",", 1)[0])
+            if not math.isfinite(value):
+                raise ConfigError(f"{where}: tau {value!r} is not finite")
+            last = value
+            reached |= value == tau
+            if value <= tau:
+                kept_rows.append(line.rstrip("\n"))
+    if not reached:
+        raise ConfigError(
+            f"{traj_path} has no row at the checkpoint's step {step} "
+            f"(tau {tau!r}); its last tau is {last!r}"
+        )
     return report(run_single(cfg, resume_from=(state, step, kept_rows)))
 
 

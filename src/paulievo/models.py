@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .pauli import PauliString, require_width
-from .opsum import PauliSum
+from .opsum import PauliSum, _real_coefficient
 
 
 class Hamiltonian:
@@ -16,7 +16,8 @@ class Hamiltonian:
     Duplicate strings are merged at build time (coefficients summed, first
     position kept), so term order is well defined for Trotter sequencing.
     Real coefficients on Hermitian strings make the operator Hermitian by
-    construction; a coefficient that is not finite raises ``ValueError``.
+    construction; a complex coefficient with a nonzero imaginary part
+    raises ``TypeError``, one that is not finite once merged ``ValueError``.
     """
 
     __slots__ = ("n_qubits", "terms")
@@ -29,7 +30,7 @@ class Hamiltonian:
         out: list[tuple[float, PauliString]] = []
         for c, p in terms:
             p = require_width(p, n_qubits, "term")
-            c = float(c)
+            c = _real_coefficient(c, p)
             pos = merged.get(p.key)
             if pos is None:
                 merged[p.key] = len(out)

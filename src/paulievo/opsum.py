@@ -56,13 +56,6 @@ CHECKPOINT_FORMAT = "pauli-sum v2"
 # strings of 8 bytes a word, and numpy caps one item at 2**31 - 1 bytes
 _CHECKPOINT_MAX_QUBITS = (2 ** 31 - 1) // 8 * QUBITS_PER_WORD
 
-# default ``Threshold.gate_fraction``: the provisional cut after every gate
-# is this fraction of the step-end ``delta``.  It is the largest of 2^-8,
-# 2^-7 and 2^-6 that moved no final energy of the TFIM threshold sweep
-# (N = 8, 10, 12, delta = 2^-14 .. 2^-6) by 1% of its error against the
-# step-only threshold, nor any final term count by 1%; 2^-4 drifts
-THRESHOLD_GATE_FRACTION = 2.0 ** -6
-
 # rows per block of checkpoint text: big enough that numpy's per-call cost
 # vanishes, small enough that a block's lines and temporaries stay below
 # the arrays of the states the benchmarks checkpoint
@@ -92,26 +85,14 @@ class TraceCollapseError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Threshold:
-    """Keep only terms with ``|c| > delta`` (strict).
-
-    ``truncate`` applies ``delta`` alone.  In a propagation run the
-    threshold acts on two levels (see
-    :func:`paulievo.propagate.split_policy_by_cadence`): a provisional cut
-    at ``gate_fraction * delta`` after every gate, and the full ``delta``
-    once per Trotter step.  ``gate_fraction=0`` thresholds at step end
-    only, ``gate_fraction=1`` after every gate only.
-    """
+    """Keep only terms with ``|c| > delta`` (strict)."""
 
     delta: float
-    gate_fraction: float = THRESHOLD_GATE_FRACTION
 
     def __post_init__(self):
         if not math.isfinite(self.delta) or self.delta < 0:
             raise ValueError(f"threshold must be finite and >= 0, not "
                              f"{self.delta!r}")
-        if not 0.0 <= self.gate_fraction <= 1.0:
-            raise ValueError(f"gate_fraction must be in [0, 1], not "
-                             f"{self.gate_fraction!r}")
 
 
 @dataclass(frozen=True)
@@ -141,13 +122,29 @@ TruncationPolicy = Union[Threshold, FixedK, WeightCutoff,
                          Sequence["TruncationPolicy"], None]
 
 
-def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
+def _real_coefficient(c, p: PauliString) -> float:
+    """The coefficient ``c`` of the term ``p`` as a float: a complex one
+    with a zero imaginary part gives its real part, any other complex one
+    raises ``TypeError``."""
+    # np.iscomplexobj, not isinstance(c, complex): np.complex64 is not a
+    # subclass of complex, and float() would drop its imag
+    if np.iscomplexobj(c):
+        if c.imag != 0:
+            raise TypeError(f"coefficient {c!r} of {p} is not real")
+        c = c.real
+    return float(c)
+
+
+def _coalesce(n_qubits: int, keys: np.ndarray, coeffs: np.ndarray,
+              indices: np.ndarray,
               drop_relative: float = MERGE_DROP_RELATIVE):
     """Merge duplicate rows: sort canonically, sum coefficients, keep the
     smallest insertion index per string, and drop numerical zeros.
 
-    Exact zeros always drop, as do entries below ``drop_relative`` times the
-    largest magnitude; ``drop_relative=0.0`` keeps every float residue.
+    A merged coefficient that is not finite raises ``ValueError`` naming
+    its string, before it could set the drop floor.  Exact zeros always
+    drop, as do entries below ``drop_relative`` times the largest
+    magnitude; ``drop_relative=0.0`` keeps every float residue.
     """
     order = canonical_argsort(keys)
     keys = take_rows(keys, order)
@@ -157,8 +154,15 @@ def _coalesce(keys: np.ndarray, coeffs: np.ndarray, indices: np.ndarray,
     if dup.any():
         starts = np.flatnonzero(~dup)
         keys = take_rows(keys, starts)
-        coeffs = np.add.reduceat(coeffs, starts)
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            coeffs = np.add.reduceat(coeffs, starts)
         indices = np.minimum.reduceat(indices, starts)
+    bad = ~np.isfinite(coeffs)
+    if bad.any():
+        j = int(np.argmax(bad))
+        p = PauliString(n_qubits, words_to_key(keys[j]))
+        raise ValueError(f"coefficient {float(coeffs[j])!r} of {p} is not "
+                         "finite")
     absc = np.abs(coeffs)
     top = absc.max() if absc.size else 0.0
     keep = absc >= drop_relative * top
@@ -203,30 +207,22 @@ class PauliSum:
         """Build from ``(coefficient, string)`` pairs, merging duplicates.
 
         Insertion indices follow the order of ``terms``.  Coefficients must
-        be real and finite.
+        be real (see :func:`_real_coefficient`), and finite once merged.
         """
         width = n_words(n_qubits)
         keys = []
         coeffs = []
         for c, p in terms:
             p = require_width(p, n_qubits, "term")
-            # np.iscomplexobj, not isinstance(c, complex): np.complex64 is
-            # not a subclass of complex, and float() would drop its imag
-            if np.iscomplexobj(c):
-                if c.imag != 0:
-                    raise TypeError("coefficients of a PauliSum are real")
-                c = c.real
-            c = float(c)
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient {c!r} of {p} is not finite")
             keys.append(key_to_words(p.key, width))
-            coeffs.append(c)
+            coeffs.append(_real_coefficient(c, p))
         if not keys:
             return cls(n_qubits)
         karr = np.stack(keys)
         carr = np.asarray(coeffs, dtype=np.float64)
         iarr = np.arange(len(coeffs), dtype=np.int64)
-        return cls._from_raw(n_qubits, *_coalesce(karr, carr, iarr))
+        return cls._from_raw(n_qubits,
+                             *_coalesce(n_qubits, karr, carr, iarr))
 
     @classmethod
     def _from_raw(cls, n_qubits: int, keys, coeffs, indices) -> "PauliSum":

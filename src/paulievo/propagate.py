@@ -423,6 +423,13 @@ def relative_error(energy: float, reference: float | None) -> float | None:
 
 StepCallback = Callable[[int, PauliSum, TrajectoryRecord], bool | None]
 
+# the provisional cut after every gate is this fraction of the step-end
+# ``delta``.  It is the largest of 2^-8, 2^-7 and 2^-6 that moved no final
+# energy of the TFIM threshold sweep (N = 8, 10, 12, delta = 2^-14 .. 2^-6)
+# by 1% of its error against the step-only threshold, nor any final term
+# count by 1%; 2^-4 drifts
+THRESHOLD_GATE_FRACTION = 2.0 ** -6
+
 
 def split_policy_by_cadence(policy: TruncationPolicy):
     """Partition a policy into the part enforced after every gate and the
@@ -430,16 +437,16 @@ def split_policy_by_cadence(policy: TruncationPolicy):
 
     Size budgets (:class:`FixedK`) and weight cutoffs run per gate: that is
     what keeps the intermediate basis within twice the budget.  A
-    coefficient threshold ``Threshold(delta, f)`` acts on two levels.  The
+    coefficient threshold ``Threshold(delta)`` acts on two levels.  The
     full ``delta`` runs once per step: a string typically enters below
     ``delta`` and clears it only after several generators within the same
     step have deposited their contributions, so testing it at full height
     after every gate freezes operator growth long before the benchmark
-    term counts are reached.  A provisional ``Threshold(f * delta)`` runs
-    after every gate, in the policy's own order among the per-gate parts;
-    it drops the strings too small to reach ``delta`` within the step
-    before they spawn more.  ``f == 0`` puts the threshold in the step
-    part only, ``f == 1`` in the gate part only.
+    term counts are reached.  A provisional
+    ``Threshold(THRESHOLD_GATE_FRACTION * delta)`` runs after every gate,
+    in the policy's own order among the per-gate parts; it drops the
+    strings too small to reach ``delta`` within the step before they spawn
+    more.
 
     Each part is returned as a plain policy list, or ``None`` when empty.
     :func:`run_itpp` hands the gate part to :func:`apply_imaginary_gate` as
@@ -447,15 +454,10 @@ def split_policy_by_cadence(policy: TruncationPolicy):
     """
     gate_part, step_part = [], []
     for p in policy_parts(policy):
-        if not isinstance(p, Threshold) or p.gate_fraction == 1.0:
-            gate_part.append(p)
-        elif p.gate_fraction == 0.0:
+        if isinstance(p, Threshold):
             step_part.append(p)
-        else:
-            gate_part.append(
-                Threshold(p.gate_fraction * p.delta, gate_fraction=1.0)
-            )
-            step_part.append(Threshold(p.delta, gate_fraction=0.0))
+            p = Threshold(THRESHOLD_GATE_FRACTION * p.delta)
+        gate_part.append(p)
     return gate_part or None, step_part or None
 
 
@@ -476,8 +478,8 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     normalization), every gate of every Trotter step applies the imaginary
     update rule and renormalizes by the trace.  Truncation runs on a split
     cadence (see :func:`split_policy_by_cadence`): size and weight budgets
-    and the provisional ``gate_fraction * delta`` coefficient cuts at
-    every gate, the full coefficient thresholds once per Trotter step.
+    and the provisional coefficient cuts at every gate, the full
+    coefficient thresholds once per Trotter step.
     Each gate is one :func:`apply_imaginary_gate` with the gate part as
     its ``policy`` (thresholds as one cut inside the merge, budgets over
     the merged rows) and one trace normalization.  A complex

@@ -517,6 +517,31 @@ class TestResume:
         assert "Traceback" not in res.stderr
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("cut", ["deleted", "shortened"])
+    def test_trajectory_short_of_checkpoint_refused(self, tmp_path, cut):
+        # the trajectory is written when a run ends, so a run killed after a
+        # checkpoint leaves none, or an older one that stops before it
+        out = tmp_path / "inter"
+        res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.2",
+                      "--stop-after-step", "2", "--checkpoint-every", "1",
+                      "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        traj = out / "trajectory.csv"
+        if cut == "deleted":
+            traj.unlink()
+            named = f"{traj} is missing; the checkpoint is at step 2 (tau 0.08)"
+        else:
+            lines = traj.read_text().splitlines(keepends=True)
+            traj.write_text("".join(lines[:-1]))
+            named = (f"{traj} has no row at the checkpoint's step 2 "
+                     "(tau 0.08); its last tau is 0.04")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        res = run_cli("resume", str(out))
+        assert res.returncode == 2
+        assert f"error: {named}\n" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_negative_stop_exits_2(self, tmp_path):
         out = tmp_path / "inter"
         res = run_cli("run-itpp", "--N", "3", "--tau-final", "0.4",

@@ -9,6 +9,7 @@ from paulievo import (
     DimensionMismatchError,
     Hamiltonian,
     PauliParseError,
+    PauliSum,
     TfimParams,
     build_tfim,
     hamiltonian_from_file,
@@ -111,6 +112,38 @@ class TestHamiltonianFromTerms:
     def test_non_finite_coefficient_rejected(self, terms, named):
         with pytest.raises(ValueError, match=f"coefficient {named} of"):
             Hamiltonian(2, terms)
+
+
+# the two term builders, each returning the coefficient it stored for "Z"
+BUILDERS = {
+    "Hamiltonian": lambda terms: Hamiltonian(1, terms).terms[0][0],
+    "from_terms":
+        lambda terms: PauliSum.from_terms(1, terms).coefficient("Z"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # no ComplexWarning either
+@pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+class TestCoefficientRule:
+    """Both builders take a coefficient by one rule: a complex one with a
+    nonzero imaginary part raises ``TypeError``, a zero one gives its real
+    part."""
+
+    @pytest.mark.parametrize("c", [
+        1 + 2j, np.complex64(1 + 2j), np.complex128(1 + 2j),
+        complex(1, math.nan),
+    ], ids=["complex", "complex64", "complex128", "nan-imag"])
+    def test_nonzero_imaginary_part_rejected(self, build, c):
+        with pytest.raises(TypeError, match="of Z is not real"):
+            build([(c, "Z")])
+
+    @pytest.mark.parametrize("c", [
+        1.5 + 0j, np.complex64(1.5), np.complex128(1.5), np.float32(1.5),
+    ], ids=["complex", "complex64", "complex128", "float32"])
+    def test_zero_imaginary_part_gives_the_real_part(self, build, c):
+        got = build([(c, "Z")])
+        assert got == 1.5
+        assert isinstance(got, float)
 
 
 class TestTermFile:

@@ -42,11 +42,7 @@ from paulievo import (
     trotter_sequence,
     truncate,
 )
-from paulievo.opsum import (
-    MERGE_DROP_RELATIVE,
-    THRESHOLD_GATE_FRACTION,
-    _coalesce,
-)
+from paulievo.opsum import MERGE_DROP_RELATIVE, _coalesce
 from paulievo.oracle import (
     imaginary_conjugation_matrix,
     pauli_sum_matrix,
@@ -58,7 +54,7 @@ from paulievo.pauli import (
     multiply,
     row_weights,
 )
-from paulievo.propagate import split_policy_by_cadence
+from paulievo.propagate import THRESHOLD_GATE_FRACTION, split_policy_by_cadence
 
 from helpers import (
     all_pauli_texts,
@@ -236,7 +232,8 @@ def coalesce_gate(state, generator, *, branch_when_commuting, stay, spawn,
         [state._indices, np.arange(fresh, fresh + len(spawned))]
     )
     return PauliSum._from_raw(
-        state.n_qubits, *_coalesce(keys, coeffs, indices, drop_relative)
+        state.n_qubits,
+        *_coalesce(state.n_qubits, keys, coeffs, indices, drop_relative)
     )
 
 
@@ -693,16 +690,15 @@ class TestRunItpp:
 
     def test_trace_collapse_annotated_per_gate(self):
         h = build_tfim(TfimParams(N=2, J=1.0, h=0.5))
+        # the gate cut, 100 * 2^-6, wipes the identity after the first gate
         with pytest.raises(TraceCollapseError) as err:
-            run_itpp(h, ScheduleConfig(0.04, 1.0),
-                     Threshold(10.0, gate_fraction=1))
+            run_itpp(h, ScheduleConfig(0.04, 1.0), Threshold(100.0))
         assert err.value.step_index == 1
         assert err.value.gate_index == 1
 
     @pytest.mark.parametrize("policy, start_step, where, gate_index", [
         (Threshold(10.0), 0, "step 1 (step-end threshold)", None),
-        (Threshold(10.0, gate_fraction=1), 0,
-         "step 1, gate 1/3 (generator ZZ)", 1),
+        (Threshold(100.0), 0, "step 1, gate 1/3 (generator ZZ)", 1),
         (Threshold(10.0), 3, "step 4 (step-end threshold)", None),
     ])
     def test_trace_collapse_message_names_the_place(self, policy, start_step,
@@ -726,9 +722,9 @@ class TestRunItpp:
         # stays far smaller at the same delta
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
         sched = ScheduleConfig(0.04, 6.0)
-        _, per_step = run_itpp(h, sched, Threshold(2 ** -7))
-        _, per_gate = run_itpp(h, sched, Threshold(2 ** -7, gate_fraction=1))
-        assert per_step.final.n_terms > 1.5 * per_gate.final.n_terms
+        _, two_level = run_itpp(h, sched, Threshold(2 ** -7))
+        _, per_gate = itpp_loop_oracle(h, sched, [Threshold(2 ** -7)], [])
+        assert two_level.final.n_terms > 1.5 * per_gate[-1][1]
 
     def test_complex_initial_state_refused_before_any_gate(self,
                                                              monkeypatch):
@@ -843,41 +839,22 @@ def assert_matches_loop_oracle(h, sched, policy, gate_policies,
 
 
 class TestTwoLevelThreshold:
-    """``Threshold(delta, gate_fraction=f)``: a provisional ``f * delta``
-    cut after every gate and the full ``delta`` at step end."""
+    """``Threshold(delta)`` in a run: a provisional
+    ``THRESHOLD_GATE_FRACTION * delta`` cut after every gate and the full
+    ``delta`` at step end."""
 
     DELTAS = (2 ** -6, 2 ** -7, 2 ** -8)
 
     def test_split_places_each_level(self):
         fixed, weight = FixedK(8), WeightCutoff(3)
+        f = THRESHOLD_GATE_FRACTION
         assert split_policy_by_cadence(None) == (None, None)
-        assert split_policy_by_cadence(Threshold(0.5, gate_fraction=0)) \
-            == (None, [Threshold(0.5, gate_fraction=0)])
-        assert split_policy_by_cadence(Threshold(0.5, gate_fraction=1)) \
-            == ([Threshold(0.5, gate_fraction=1)], None)
-        assert split_policy_by_cadence(
-            [fixed, Threshold(0.5, gate_fraction=0.25), weight]
-        ) == (
-            [fixed, Threshold(0.125, gate_fraction=1), weight],
-            [Threshold(0.5, gate_fraction=0)],
-        )
-
-    @pytest.mark.parametrize("n", [4, 6])
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_step_only_matches_loop_oracle(self, n, delta):
-        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
-        assert_matches_loop_oracle(
-            h, ScheduleConfig(0.04, 1.2),
-            Threshold(delta, gate_fraction=0), [], [Threshold(delta)],
-        )
-
-    @pytest.mark.parametrize("n", [4, 6])
-    @pytest.mark.parametrize("delta", DELTAS)
-    def test_gate_only_matches_loop_oracle(self, n, delta):
-        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
-        assert_matches_loop_oracle(
-            h, ScheduleConfig(0.04, 1.2),
-            Threshold(delta, gate_fraction=1), [Threshold(delta)], [],
+        assert split_policy_by_cadence(Threshold(0.5)) \
+            == ([Threshold(f * 0.5)], [Threshold(0.5)])
+        assert split_policy_by_cadence([fixed, weight]) \
+            == ([fixed, weight], None)
+        assert split_policy_by_cadence([fixed, Threshold(0.5), weight]) == (
+            [fixed, Threshold(f * 0.5), weight], [Threshold(0.5)],
         )
 
     @pytest.mark.parametrize("n", [4, 6])
@@ -885,14 +862,14 @@ class TestTwoLevelThreshold:
     def test_two_level_matches_loop_oracle(self, n, delta):
         h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
         sched = ScheduleConfig(0.04, 1.2)
-        f = 2 ** -3
+        f = THRESHOLD_GATE_FRACTION
         assert_matches_loop_oracle(
-            h, sched, Threshold(delta, gate_fraction=f),
+            h, sched, Threshold(delta),
             [Threshold(f * delta)], [Threshold(delta)],
         )
-        # the provisional cut bites: the step-only run keeps other terms
-        two_level, _ = run_itpp(h, sched, Threshold(delta, gate_fraction=f))
-        step_only, _ = run_itpp(h, sched, Threshold(delta, gate_fraction=0))
+        # the provisional cut bites: the step-only cut keeps other terms
+        two_level, _ = run_itpp(h, sched, Threshold(delta))
+        step_only, _ = itpp_loop_oracle(h, sched, [], [Threshold(delta)])
         assert two_level != step_only
 
     @pytest.mark.parametrize("order", ["weight_first", "fixed_k_first"])
@@ -901,29 +878,27 @@ class TestTwoLevelThreshold:
         # gate part out of order changes the state
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
         sched = ScheduleConfig(0.04, 1.2)
-        delta, f = 2 ** -8, 2 ** -3
+        delta, f = 2 ** -8, THRESHOLD_GATE_FRACTION
         first, last = FixedK(24), WeightCutoff(2)
         if order == "weight_first":
             first, last = last, first
         assert_matches_loop_oracle(
-            h, sched, [first, Threshold(delta, gate_fraction=f), last],
+            h, sched, [first, Threshold(delta), last],
             [first, Threshold(f * delta), last], [Threshold(delta)],
         )
         swapped, _ = itpp_loop_oracle(
             h, sched, [last, Threshold(f * delta), first], [Threshold(delta)]
         )
-        state, _ = run_itpp(h, sched,
-                            [first, Threshold(delta, gate_fraction=f), last])
+        state, _ = run_itpp(h, sched, [first, Threshold(delta), last])
         assert state != swapped
 
     @pytest.mark.parametrize("delta", [2 ** -6, 2 ** -8])
     def test_threshold_before_fixed_k_matches_loop_oracle(self, delta):
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
-        f = 2 ** -3
-        policy = [Threshold(delta, gate_fraction=f), FixedK(40)]
+        f = THRESHOLD_GATE_FRACTION
+        policy = [Threshold(delta), FixedK(40)]
         assert split_policy_by_cadence(policy) == (
-            [Threshold(f * delta, gate_fraction=1), FixedK(40)],
-            [Threshold(delta, gate_fraction=0)],
+            [Threshold(f * delta), FixedK(40)], [Threshold(delta)],
         )
         assert_matches_loop_oracle(
             h, ScheduleConfig(0.04, 1.2), policy,
@@ -936,58 +911,52 @@ class TestTwoLevelThreshold:
         h = build_tfim(params)
         e0 = bdg_ground_energy(params)
         sched = ScheduleConfig(0.04, 4.0)
-        _, step_only = run_itpp(h, sched, Threshold(delta, gate_fraction=0),
-                                reference_energy=e0)
+        _, step_only = itpp_loop_oracle(h, sched, [], [Threshold(delta)])
+        step_energy, step_terms = step_only[-1]
         _, default = run_itpp(h, sched, Threshold(delta),
                               reference_energy=e0)
-        err = abs(step_only.final.energy - e0)
-        assert abs(default.final.energy - step_only.final.energy) \
-            < 0.01 * err
-        assert abs(default.final.n_terms - step_only.final.n_terms) \
-            < 0.01 * step_only.final.n_terms
+        err = abs(step_energy - e0)
+        assert abs(default.final.energy - step_energy) < 0.01 * err
+        assert abs(default.final.n_terms - step_terms) < 0.01 * step_terms
 
 
 class TestGateCutInRun:
     """``run_itpp`` folds the gate part's thresholds into the merge as one
     cut; the loop oracle still truncates after every gate."""
 
-    @pytest.mark.parametrize("fraction, delta", [
-        (1.0, 2 ** -10), (THRESHOLD_GATE_FRACTION, 2 ** -6),
-    ], ids=["gate_only", "default"])
-    def test_zero_coefficient_term(self, fraction, delta):
+    @pytest.mark.parametrize("delta", [2 ** -6, 2 ** -4],
+                             ids=["default", "coarse"])
+    def test_zero_coefficient_term(self, delta):
         # the zero term's gate has tau_eff = 0 and spawns nothing, but the
         # cut must still drop what the normalization after the gate before
         # it pushed under the cut
         tfim = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
         h = Hamiltonian(4, [*tfim.terms[:3], (0.0, "XXII"), *tfim.terms[3:]])
-        step_part = [] if fraction == 1.0 else [Threshold(delta)]
         assert_matches_loop_oracle(
-            h, ScheduleConfig(0.04, 1.2),
-            Threshold(delta, gate_fraction=fraction),
-            [Threshold(fraction * delta)], step_part,
+            h, ScheduleConfig(0.04, 1.2), Threshold(delta),
+            [Threshold(THRESHOLD_GATE_FRACTION * delta)], [Threshold(delta)],
         )
 
     def test_fixed_k_then_threshold(self):
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
-        delta, f = 2 ** -8, 2 ** -3
+        delta, f = 2 ** -8, THRESHOLD_GATE_FRACTION
         assert_matches_loop_oracle(
             h, ScheduleConfig(0.04, 1.2),
-            [FixedK(40), Threshold(delta, gate_fraction=f)],
+            [FixedK(40), Threshold(delta)],
             [FixedK(40), Threshold(f * delta)], [Threshold(delta)],
         )
 
-    @pytest.mark.parametrize("a", [2 ** -14, 2 ** -10],
+    @pytest.mark.parametrize("a", [2 ** -8, 2 ** -4],
                              ids=["below", "above"])
     def test_two_thresholds(self, a):
-        # the gate part holds Threshold(a) and Threshold(f * b); at the
-        # default f, f * b = 2^-12 lies above a in one case, below it in
-        # the other
+        # the gate part holds Threshold(f * a) and Threshold(f * b), one cut
+        # at the larger; a lies below b in one case, above it in the other
         h = build_tfim(TfimParams(N=6, J=1.0, h=0.5))
         b, f = 2 ** -6, THRESHOLD_GATE_FRACTION
         assert_matches_loop_oracle(
             h, ScheduleConfig(0.04, 1.2),
-            [Threshold(a, gate_fraction=1), Threshold(b)],
-            [Threshold(a), Threshold(f * b)], [Threshold(b)],
+            [Threshold(a), Threshold(b)],
+            [Threshold(f * a), Threshold(f * b)], [Threshold(a), Threshold(b)],
         )
 
 
