@@ -192,7 +192,8 @@ class RunConfig:
                                     "checkpoint and exit after S steps")
     dense_guard: int = _setting(
         DEFAULT_MAX_QUBITS, "run",
-        f"dense-oracle qubit ceiling (default {DEFAULT_MAX_QUBITS})")
+        f"qubit ceiling of the ED reference (default {DEFAULT_MAX_QUBITS}); "
+        "the dense ITE curves of exact have a byte budget instead")
 
     def schedule(self) -> ScheduleConfig:
         return ScheduleConfig(delta_tau=self.delta_tau,
@@ -544,23 +545,22 @@ def cmd_exact(args) -> int:
     cfg = build_run_config(args)
     hamiltonian = cfg.hamiltonian()
     schedule = cfg.schedule()
-    reference, ref_source = reference_for(cfg, hamiltonian)
     obs = cfg.observable_sums(hamiltonian.n_qubits)
     observables = [hamiltonian.to_sum()] + [s for _, s in obs]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     taus = [k * cfg.delta_tau for k in range(schedule.n_steps + 1)]
     curves = []
     try:
         if args.method in ("exact", "both"):
             curves.append(("exact_ite.csv", dense_exact_ite(
-                hamiltonian, taus, observables, max_qubits=cfg.dense_guard)))
+                hamiltonian, taus, observables)))
         if args.method in ("trotter", "both"):
             curves.append(("trotter_ite.csv", dense_trotter_ite(
-                hamiltonian, schedule, observables,
-                max_qubits=cfg.dense_guard)))
+                hamiltonian, schedule, observables)))
     except SizeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    reference, ref_source = reference_for(cfg, hamiltonian)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     header = trajectory_header(cfg, reference, ref_source,
                                [label for label, _ in obs])
     for filename, curve in curves:

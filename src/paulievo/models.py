@@ -17,7 +17,8 @@ class Hamiltonian:
     position kept), so term order is well defined for Trotter sequencing.
     Real coefficients on Hermitian strings make the operator Hermitian by
     construction; a complex coefficient with a nonzero imaginary part
-    raises ``TypeError``, one that is not finite once merged ``ValueError``.
+    raises ``TypeError``, one too large for a float or not finite once
+    merged ``ValueError``.
     """
 
     __slots__ = ("n_qubits", "terms")

@@ -125,14 +125,17 @@ TruncationPolicy = Union[Threshold, FixedK, WeightCutoff,
 def _real_coefficient(c, p: PauliString) -> float:
     """The coefficient ``c`` of the term ``p`` as a float: a complex one
     with a zero imaginary part gives its real part, any other complex one
-    raises ``TypeError``."""
+    raises ``TypeError``, and one too large for a float ``ValueError``."""
     # np.iscomplexobj, not isinstance(c, complex): np.complex64 is not a
     # subclass of complex, and float() would drop its imag
     if np.iscomplexobj(c):
         if c.imag != 0:
             raise TypeError(f"coefficient {c!r} of {p} is not real")
         c = c.real
-    return float(c)
+    try:
+        return float(c)
+    except OverflowError:
+        raise ValueError(f"coefficient of {p} overflows a float") from None
 
 
 def _coalesce(n_qubits: int, keys: np.ndarray, coeffs: np.ndarray,

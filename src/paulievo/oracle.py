@@ -3,9 +3,11 @@ Trotterized twin, and the free-fermion ground energy of the open Ising chain.
 
 Everything here works on explicit matrices (or the quadratic fermion form)
 and never touches the sparse propagation engine, so agreement between the
-two is a genuine cross-check.  Dense evolution uses eigendecompositions, not
-series expansions, and stays accurate at large imaginary time by shifting
-out the ground energy before exponentiating.
+two is a genuine cross-check.  The evolutions act with a Pauli string only
+as the signed permutation ``P|b> = v_b |b ^ x>``, never as a matrix.  Dense
+evolution uses eigendecompositions, not series expansions, and stays
+accurate at large imaginary time by shifting out the ground energy before
+exponentiating.
 
 Conventions match the propagation engine: an accumulated imaginary time
 ``tau`` means the thermal state ``exp(-tau H) / Tr[exp(-tau H)]``, i.e.
@@ -24,21 +26,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Hamiltonian, TfimParams
-from .opsum import PauliSum
 from .pauli import PauliString
-from .propagate import ScheduleConfig
+from .propagate import ScheduleConfig, _step_gates
 
 DEFAULT_MAX_QUBITS = 14
+# bytes of dim x dim complex arrays a dense evolution may hold at once: 12
+# qubits fit, 13 do not
+DENSE_BYTES_BUDGET = 2 ** 31
 
 
 class SizeGuardError(ValueError):
-    """The requested dense computation exceeds the qubit guard."""
+    """The dense computation exceeds the qubit guard or the byte budget."""
 
 
 def _check_guard(n_qubits: int, max_qubits: int) -> None:
     if n_qubits > max_qubits:
         raise SizeGuardError(
             f"{n_qubits} qubits exceeds the dense guard of {max_qubits}"
+        )
+
+
+def _check_budget(n_qubits: int, arrays: int) -> None:
+    """Refuse, before allocating, an evolution that holds ``arrays``
+    complex ``dim x dim`` arrays at once beyond the byte budget."""
+    held = arrays * 16 * 4 ** n_qubits
+    if held > DENSE_BYTES_BUDGET:
+        raise SizeGuardError(
+            f"dense guard: {n_qubits} qubits hold {held} bytes of dense "
+            f"arrays at once, over the budget of {DENSE_BYTES_BUDGET} bytes"
         )
 
 
@@ -52,29 +67,15 @@ def _pauli_columns(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return b ^ x, 1j ** (x & z).bit_count() * sign
 
 
-def _dense(n_qubits: int, terms) -> np.ndarray:
-    """Dense ``sum c P`` over ``(c, P)`` pairs, added term by term."""
-    dim = 2 ** n_qubits
+def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
+    """Dense ``sum c P`` over the terms of ``h``, added term by term."""
+    dim = 2 ** h.n_qubits
     out = np.zeros((dim, dim), dtype=np.complex128)
     columns = np.arange(dim)
-    for c, p in terms:
+    for c, p in h.terms:
         rows, values = _pauli_columns(p)
         out[rows, columns] += c * values
     return out
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense matrix of a Pauli string (qubit 0 = leftmost tensor factor)."""
-    return _dense(p.n_qubits, [(1.0, p)])
-
-
-def pauli_sum_matrix(a: PauliSum) -> np.ndarray:
-    """Dense matrix of a sparse Pauli expansion."""
-    return _dense(a.n_qubits, ((c, s) for s, c in a.items()))
-
-
-def hamiltonian_matrix(h: Hamiltonian) -> np.ndarray:
-    return _dense(h.n_qubits, h.terms)
 
 
 def hamiltonian_sparse(h: Hamiltonian) -> "scipy.sparse.csr_matrix":
@@ -110,20 +111,25 @@ class IteCurve:
     purities: np.ndarray
 
 
-def dense_exact_ite(h: Hamiltonian, tau_grid, observables,
-                    *, max_qubits: int = DEFAULT_MAX_QUBITS) -> IteCurve:
+def dense_exact_ite(h: Hamiltonian, tau_grid, observables) -> IteCurve:
     """Exact thermal expectations ``Tr[O e^{-tau H}] / Tr[e^{-tau H}]``.
 
     One eigendecomposition serves the whole grid; weights are computed
     relative to the ground energy so arbitrarily large ``tau`` is safe.
+    Each observable enters through its diagonal in the eigenbasis,
+    ``d_j = sum_P c_P sum_b conj(V[b ^ x, j]) v_b V[b, j]``.
     """
-    _check_guard(h.n_qubits, max_qubits)
+    # the Hamiltonian, eigh's copy of it and workspace (two arrays' worth),
+    # and the eigenvectors
+    _check_budget(h.n_qubits, 5)
     taus = np.asarray(list(tau_grid), dtype=float)
     lam, vecs = np.linalg.eigh(hamiltonian_matrix(h))
     diag_obs = []
     for obs in observables:
-        om = pauli_sum_matrix(obs)
-        d = np.einsum("ij,ij->j", vecs.conj(), om @ vecs)
+        d = np.zeros(len(lam), dtype=np.complex128)
+        for p, c in obs.items():
+            rows, values = _pauli_columns(p)
+            d += c * np.einsum("bj,b,bj->j", vecs[rows].conj(), values, vecs)
         diag_obs.append(d.real)
     values = np.zeros((len(taus), len(diag_obs)))
     purities = np.zeros(len(taus))
@@ -136,60 +142,50 @@ def dense_exact_ite(h: Hamiltonian, tau_grid, observables,
     return IteCurve(taus=taus, values=values, purities=purities)
 
 
-def dense_trotter_ite(h: Hamiltonian, schedule: ScheduleConfig, observables,
-                      *, max_qubits: int = DEFAULT_MAX_QUBITS) -> IteCurve:
+def _trace_with(obs, rho: np.ndarray) -> float:
+    """``Tr[O rho]``, each term by ``Tr[P rho] = sum_b v_b rho[b, b ^ x]``."""
+    b = np.arange(rho.shape[0])
+    total = 0j
+    for p, c in obs.items():
+        rows, values = _pauli_columns(p)
+        total += c * (values * rho[b, rows]).sum()
+    return total.real
+
+
+def dense_trotter_ite(h: Hamiltonian, schedule: ScheduleConfig,
+                      observables) -> IteCurve:
     """Dense twin of the sparse driver: per-gate two-sided conjugation by
-    ``exp(-(alpha dt / 2) h_j)`` with trace renormalization, recorded once
-    per Trotter step (including ``tau = 0``).
+    ``V = exp(-(alpha dt / 2) h_j)`` with trace renormalization, recorded
+    once per Trotter step (including ``tau = 0``).
 
-    Gate factors are exact, ``cosh(t/2) I - sinh(t/2) P``, since every
-    Pauli string squares to the identity.
+    Every Pauli string squares to the identity, so ``V = c I - s P`` with
+    ``c, s = cosh(t/2), sinh(t/2)``, and a gate applies ``V`` from the left,
+    then from the right: ``V rho V = c^2 rho - c s (P rho + rho P) + s^2 P
+    rho P``.  ``P X`` scales row ``b`` of ``X`` by ``v_b`` and moves it to
+    row ``b ^ x``; ``X P`` gathers the columns ``b ^ x`` and scales column
+    ``b`` by ``v_b``.
     """
-    _check_guard(h.n_qubits, max_qubits)
-    from .propagate import _step_gates  # same ordering semantics
-
+    # rho, V rho and three temporaries of one side's update
+    _check_budget(h.n_qubits, 5)
+    gates = [(np.cosh(g.tau_eff / 2), np.sinh(g.tau_eff / 2),
+              *_pauli_columns(g.generator)) for g in _step_gates(h, schedule)]
     dim = 2 ** h.n_qubits
-    gates = []
-    for gate in _step_gates(h, schedule):
-        t = gate.tau_eff
-        p = pauli_matrix(gate.generator)
-        gates.append(np.cosh(t / 2) * np.eye(dim) - np.sinh(t / 2) * p)
-    obs_mats = [pauli_sum_matrix(o) for o in observables]
-    rho = np.eye(dim, dtype=np.complex128)
-    taus = [0.0]
-    values = [[float(np.trace(om @ rho).real / np.trace(rho).real)
-               for om in obs_mats]]
-    purities = [float((rho @ rho).trace().real / np.trace(rho).real ** 2)
-                * dim]
+    rho = np.diag(np.full(dim, 1.0 / dim, dtype=np.complex128))
+    taus, values, purities = [], [], []
+
+    def record(tau):
+        taus.append(tau)
+        values.append([_trace_with(o, rho) for o in observables])
+        purities.append(float(np.vdot(rho, rho).real) * dim)
+
+    record(0.0)
     for step in range(schedule.n_steps):
-        for g in gates:
-            rho = g @ rho @ g
+        for c, s, rows, v in gates:
+            v_rho = c * rho - s * (v[:, None] * rho)[rows]
+            rho = c * v_rho - s * v_rho[:, rows] * v
             rho /= np.trace(rho).real
-        taus.append((step + 1) * schedule.delta_tau)
-        values.append([float(np.trace(om @ rho).real) for om in obs_mats])
-        purities.append(float(np.trace(rho @ rho).real) * dim)
-    return IteCurve(
-        taus=np.array(taus),
-        values=np.array(values),
-        purities=np.array(purities),
-    )
-
-
-def imaginary_conjugation_matrix(p: PauliString, q: PauliString,
-                                 tau: float) -> np.ndarray:
-    """Dense ``V_Q(tau) P V_Q(tau)`` with ``V = cosh(tau/2) I -
-    sinh(tau/2) Q`` (V is Hermitian, so adjoint placement is immaterial)."""
-    dim = 2 ** p.n_qubits
-    v = np.cosh(tau / 2) * np.eye(dim) - np.sinh(tau / 2) * pauli_matrix(q)
-    return v @ pauli_matrix(p) @ v
-
-
-def real_conjugation_matrix(p: PauliString, q: PauliString,
-                            theta: float) -> np.ndarray:
-    """Dense ``U^dag P U`` with ``U = cos(theta/2) I - i sin(theta/2) Q``."""
-    dim = 2 ** p.n_qubits
-    u = np.cos(theta / 2) * np.eye(dim) - 1j * np.sin(theta / 2) * pauli_matrix(q)
-    return u.conj().T @ pauli_matrix(p) @ u
+        record((step + 1) * schedule.delta_tau)
+    return IteCurve(np.array(taus), np.array(values), np.array(purities))
 
 
 # ---------------------------------------------------------------------------

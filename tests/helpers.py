@@ -12,6 +12,7 @@ import numpy as np
 
 import paulievo
 from paulievo import (
+    Hamiltonian,
     PauliString,
     PauliSum,
     ScheduleConfig,
@@ -25,7 +26,7 @@ from paulievo import (
     truncate,
 )
 from paulievo.cli import RunConfig, _config_from_texts, load_config_file
-from paulievo.oracle import pauli_matrix, pauli_sum_matrix
+from paulievo.oracle import hamiltonian_matrix
 from paulievo.pauli import key_to_words, n_words, words_to_key
 
 
@@ -133,8 +134,33 @@ def random_pauli_sum(rng, n, n_terms, *, scale=1.0, with_identity=False):
     return PauliSum.from_terms(n, terms)
 
 
-def dense(a: PauliSum) -> np.ndarray:
-    return pauli_sum_matrix(a)
+def pauli_matrix(p: PauliString) -> np.ndarray:
+    """Dense matrix of a Pauli string (qubit 0 = leftmost tensor factor)."""
+    return hamiltonian_matrix(Hamiltonian(p.n_qubits, [(1.0, p)]))
+
+
+def pauli_sum_matrix(a: PauliSum) -> np.ndarray:
+    """Dense matrix of a sparse Pauli expansion."""
+    return hamiltonian_matrix(
+        Hamiltonian(a.n_qubits, [(c, s) for s, c in a.items()]))
+
+
+def imaginary_conjugation_matrix(p: PauliString, q: PauliString,
+                                 tau: float) -> np.ndarray:
+    """Dense ``V_Q(tau) P V_Q(tau)`` with ``V = cosh(tau/2) I -
+    sinh(tau/2) Q`` (V is Hermitian, so adjoint placement is immaterial)."""
+    dim = 2 ** p.n_qubits
+    v = np.cosh(tau / 2) * np.eye(dim) - np.sinh(tau / 2) * pauli_matrix(q)
+    return v @ pauli_matrix(p) @ v
+
+
+def real_conjugation_matrix(p: PauliString, q: PauliString,
+                            theta: float) -> np.ndarray:
+    """Dense ``U^dag P U`` with ``U = cos(theta/2) I - i sin(theta/2) Q``."""
+    dim = 2 ** p.n_qubits
+    u = (np.cos(theta / 2) * np.eye(dim)
+         - 1j * np.sin(theta / 2) * pauli_matrix(q))
+    return u.conj().T @ pauli_matrix(p) @ u
 
 
 def dense_of_text(text: str) -> np.ndarray:

@@ -30,14 +30,18 @@ from paulievo import (
     run_itpp,
     truncate,
 )
-from paulievo.oracle import (
+
+from helpers import (
+    all_pauli_texts,
     imaginary_conjugation_matrix,
     pauli_sum_matrix,
+    random_pauli_sum,
+    random_pauli_text,
+    read_rows,
     real_conjugation_matrix,
+    run_cli,
+    squared_state_oracle,
 )
-
-from helpers import all_pauli_texts, random_pauli_sum, random_pauli_text, \
-    read_rows, run_cli, squared_state_oracle
 
 ANGLES = (0.04, -0.04, 0.5, -0.5, 2.0, -2.0)
 

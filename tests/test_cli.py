@@ -23,6 +23,7 @@ from paulievo.cli import (
     policy_text,
     write_config_echo,
 )
+from paulievo.oracle import DENSE_BYTES_BUDGET
 
 from helpers import read_config_echo, read_rows, run_cli
 
@@ -733,9 +734,17 @@ class TestExact:
                 assert energy == pytest.approx(-math.tanh(tau), abs=1e-12)
 
     def test_guard_exceeded(self, tmp_path):
-        res = run_cli("exact", "--N", "15", "--out-dir", str(tmp_path / "x"))
-        assert res.returncode == 1
-        assert "guard" in res.stderr
+        # 13 qubits would hold five 1 GiB arrays at once: each method is
+        # refused before it allocates one, and no CSV is written
+        for method in ("exact", "trotter", "both"):
+            out = tmp_path / method
+            res = run_cli("exact", "--N", "13", "--tau-final", "0.04",
+                          "--method", method, "--out-dir", str(out))
+            assert res.returncode == 1
+            assert "guard" in res.stderr
+            assert f"{5 * 16 * 4 ** 13} bytes" in res.stderr
+            assert f"budget of {DENSE_BYTES_BUDGET} bytes" in res.stderr
+            assert not out.exists()
 
     def test_flags_match_config_file(self, tmp_path):
         cfg = tmp_path / "exp.ini"

@@ -1,9 +1,10 @@
 """scipy is imported by the sparse exact diagonalization alone.
 
-Importing the package, propagating, estimating, checkpointing and a CLI run
-whose reference is the dense solve must leave scipy unloaded; the first
-sparse ``ground_energy`` call loads it.  Each check runs in a fresh
-interpreter, so nothing an earlier test imported can hide a load.
+Importing the package, propagating, estimating, checkpointing, the dense
+imaginary-time references and a CLI run whose reference is the dense solve
+must leave scipy unloaded; the first sparse ``ground_energy`` call loads it.
+Each check runs in a fresh interpreter, so nothing an earlier test imported
+can hide a load.
 """
 
 import os
@@ -18,8 +19,8 @@ SCRIPT = textwrap.dedent("""
 
     from paulievo import (
         ScheduleConfig, TfimParams, Threshold, bdg_ground_energy, build_tfim,
-        expectation_squared_state, ground_energy, load_pauli_sum, run_itpp,
-        save_pauli_sum,
+        dense_exact_ite, dense_trotter_ite, expectation_squared_state,
+        ground_energy, load_pauli_sum, run_itpp, save_pauli_sum,
     )
     from paulievo.cli import main
 
@@ -30,6 +31,9 @@ SCRIPT = textwrap.dedent("""
     assert len(trajectory.records) == 4
     expectation_squared_state(h.to_sum(), state)
     bdg_ground_energy(params)
+    h4 = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
+    dense_exact_ite(h4, [0.0, 0.4], [h4.to_sum()])
+    dense_trotter_ite(h4, ScheduleConfig(0.04, 0.12), [h4.to_sum()])
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "state.psum")
         save_pauli_sum(state, path)

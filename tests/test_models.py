@@ -127,7 +127,7 @@ BUILDERS = {
 class TestCoefficientRule:
     """Both builders take a coefficient by one rule: a complex one with a
     nonzero imaginary part raises ``TypeError``, a zero one gives its real
-    part."""
+    part, and a number too large for a float raises ``ValueError``."""
 
     @pytest.mark.parametrize("c", [
         1 + 2j, np.complex64(1 + 2j), np.complex128(1 + 2j),
@@ -144,6 +144,13 @@ class TestCoefficientRule:
         got = build([(c, "Z")])
         assert got == 1.5
         assert isinstance(got, float)
+
+    @pytest.mark.parametrize("c", [10 ** 400, -(10 ** 400)],
+                             ids=["positive", "negative"])
+    def test_too_large_for_a_float_rejected(self, build, c):
+        with pytest.raises(ValueError,
+                           match="coefficient of Z overflows a float"):
+            build([(c, "Z")])
 
 
 class TestTermFile:

@@ -38,11 +38,11 @@ from paulievo.opsum import CHECKPOINT_BLOCK_ROWS
 from paulievo.pauli import key_to_words, n_words, valid_key_mask
 
 from helpers import (
-    dense,
     dense_terms,
     dumps_pauli_sum,
     normalized_trace_dense,
     oracle_save_v2,
+    pauli_sum_matrix,
     product_terms,
     random_pauli_sum,
     squared_state_oracle,
@@ -202,7 +202,8 @@ class TestOverlap:
         for _ in range(10):
             a = random_pauli_sum(rng, 3, 5)
             b = random_pauli_sum(rng, 3, 6)
-            expected = normalized_trace_dense(dense(a) @ dense(b)).real
+            expected = normalized_trace_dense(
+                pauli_sum_matrix(a) @ pauli_sum_matrix(b)).real
             assert overlap(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry(self):
@@ -233,7 +234,8 @@ class TestPurity:
     def test_dense_oracle_random(self):
         rng = np.random.default_rng(17)
         a = random_pauli_sum(rng, 3, 8)
-        expected = normalized_trace_dense(dense(a) @ dense(a)).real
+        expected = normalized_trace_dense(
+            pauli_sum_matrix(a) @ pauli_sum_matrix(a)).real
         assert purity(a) == pytest.approx(expected, abs=1e-12)
 
     def test_equals_self_overlap(self):
@@ -260,7 +262,8 @@ class TestProduct:
             a = random_pauli_sum(rng, 3, 5)
             b = random_pauli_sum(rng, 3, 5)
             got = dense_terms(product_terms(a, b))
-            assert np.abs(got - dense(a) @ dense(b)).max() < 1e-12
+            want = pauli_sum_matrix(a) @ pauli_sum_matrix(b)
+            assert np.abs(got - want).max() < 1e-12
 
     def test_associativity_roundoff(self):
         rng = np.random.default_rng(47)
@@ -277,7 +280,7 @@ class TestProduct:
         for _ in range(8):
             obs = random_pauli_sum(rng, 3, 5)
             rho = random_pauli_sum(rng, 3, 7, with_identity=True)
-            mo, mr = dense(obs), dense(rho)
+            mo, mr = pauli_sum_matrix(obs), pauli_sum_matrix(rho)
             want = np.trace(mo @ mr @ mr) / np.trace(mr @ mr)
             assert abs(squared_state_oracle(obs, rho) - want) < 1e-12
 

@@ -20,14 +20,23 @@ from paulievo import (
     pauli_from_text,
 )
 from paulievo.oracle import (
+    DENSE_BYTES_BUDGET,
     hamiltonian_matrix,
     hamiltonian_sparse,
+)
+
+from helpers import (
+    all_pauli_texts,
     imaginary_conjugation_matrix,
     pauli_matrix,
+    pauli_sum_matrix,
+    random_pauli_text,
     real_conjugation_matrix,
 )
 
-from helpers import all_pauli_texts, random_pauli_text
+# the bytes of the five 2^13 x 2^13 complex arrays a 13-qubit evolution
+# would hold at once
+N13_BYTES = 5 * 16 * 4 ** 13
 
 
 def minus_z():
@@ -59,8 +68,9 @@ class TestDenseExactIte:
         assert curve.values[0, 0] == pytest.approx(-math.sqrt(2), abs=1e-10)
 
     def test_size_guard(self):
-        ham = build_tfim(TfimParams(N=15))
-        with pytest.raises(SizeGuardError):
+        ham = build_tfim(TfimParams(N=13))
+        with pytest.raises(SizeGuardError, match=f"{N13_BYTES} bytes .* "
+                           f"budget of {DENSE_BYTES_BUDGET} bytes"):
             dense_exact_ite(ham, [1.0], [ham.to_sum()])
 
 
@@ -95,14 +105,60 @@ class TestDenseTrotterIte:
         assert np.abs(trotter.purities - exact.purities).max() < 1e-12
 
     def test_size_guard(self):
-        ham = build_tfim(TfimParams(N=15))
-        with pytest.raises(SizeGuardError):
+        ham = build_tfim(TfimParams(N=13))
+        with pytest.raises(SizeGuardError, match=f"{N13_BYTES} bytes .* "
+                           f"budget of {DENSE_BYTES_BUDGET} bytes"):
             dense_trotter_ite(ham, ScheduleConfig(0.1, 0.2), [ham.to_sum()])
 
 
+class TestSignedPermutationForm:
+    """The dense evolutions act with each string as a signed permutation.
+    With an odd number of Y's in generators and observables, where
+    ``v_b`` and ``v_(b ^ x)`` differ in sign, they equal the matrix
+    products they replace."""
+
+    HAM = Hamiltonian(3, [(0.9, "XYZ"), (-0.6, "YYI"), (0.4, "ZIY"),
+                          (-1.1, "IXX"), (0.5, "YII")])
+    OBS = [HAM.to_sum(),
+           PauliSum.from_terms(3, [(0.7, "YZX"), (-0.4, "IYI"),
+                                   (0.2, "III")])]
+
+    def check(self, curve, states):
+        mats = [pauli_sum_matrix(o) for o in self.OBS]
+        for t, rho in enumerate(states):
+            want = [np.trace(m @ rho).real for m in mats]
+            assert np.abs(curve.values[t] - want).max() < 1e-12
+            assert curve.purities[t] == pytest.approx(
+                np.trace(rho @ rho).real * 8, abs=1e-12)
+
+    def test_trotter_matches_matrix_products(self):
+        schedule = ScheduleConfig(0.1, 0.5)
+        half = [(c * schedule.delta_tau / 2, p) for c, p in self.HAM.terms]
+        gates = [np.cosh(t) * np.eye(8) - np.sinh(t) * pauli_matrix(p)
+                 for t, p in half]
+        rho = np.eye(8) / 8
+        states = [rho]
+        for _ in range(schedule.n_steps):
+            for g in gates:
+                rho = g @ rho @ g
+                rho = rho / np.trace(rho).real
+            states.append(rho)
+        self.check(dense_trotter_ite(self.HAM, schedule, self.OBS), states)
+
+    def test_exact_matches_matrix_products(self):
+        taus = [0.0, 0.3, 2.0]
+        lam, vecs = np.linalg.eigh(hamiltonian_matrix(self.HAM))
+        states = []
+        for tau in taus:
+            rho = (vecs * np.exp(-tau * (lam - lam[0]))) @ vecs.conj().T
+            states.append(rho / np.trace(rho).real)
+        self.check(dense_exact_ite(self.HAM, taus, self.OBS), states)
+
+
 class TestPauliMatrix:
-    """The closed form ``P|b> = i^(#Y) (-1)^popcount(b & z) |b ^ x>``
-    against the textbook Kronecker product of 2x2 matrices."""
+    """The package's closed form ``P|b> = i^(#Y) (-1)^popcount(b & z)
+    |b ^ x>``, read through :func:`hamiltonian_matrix` of a one-term
+    Hamiltonian, against the textbook Kronecker product of 2x2 matrices."""
 
     SINGLE = {
         "I": np.eye(2),
@@ -117,8 +173,8 @@ class TestPauliMatrix:
             expected = np.array([[1.0]])
             for letter in text:
                 expected = np.kron(expected, self.SINGLE[letter])
-            assert np.array_equal(pauli_matrix(pauli_from_text(text)),
-                                  expected), text
+            got = hamiltonian_matrix(Hamiltonian(n, [(1.0, text)]))
+            assert np.array_equal(got, expected), text
 
     def test_sparse_matches_dense_with_y_terms(self):
         rng = np.random.default_rng(4)
@@ -130,7 +186,8 @@ class TestPauliMatrix:
 
 
 class TestConjugationHelpers:
-    """Dense two-sided conjugation reproduces the hyperbolic expansion."""
+    """The tests' dense two-sided conjugation reproduces the hyperbolic
+    expansion."""
 
     @pytest.mark.parametrize("tau", [0.04, -0.04, 0.5, 2.0])
     def test_expansion_term_by_term(self, tau):

@@ -18,10 +18,6 @@ import paulievo
 PACKAGE = pathlib.Path(paulievo.__file__).parent
 
 ALLOWED = {
-    "oracle.imaginary_conjugation_matrix":
-        "dense reference the gate tests compare against",
-    "oracle.real_conjugation_matrix":
-        "dense reference the gate tests compare against",
     "opsum.PauliSum.coefficient": "public inspection of one term",
     "opsum.PauliSum.coefficients": "public inspection of every term",
     "opsum.PauliSum.insertion_index": "public inspection of a sum's lineage",

@@ -1,6 +1,7 @@
 """Propagation rules, Trotter sequencing, the ITPP driver, and estimators."""
 
 import ast
+import functools
 import math
 import pathlib
 import re
@@ -43,11 +44,6 @@ from paulievo import (
     truncate,
 )
 from paulievo.opsum import MERGE_DROP_RELATIVE, _coalesce
-from paulievo.oracle import (
-    imaginary_conjugation_matrix,
-    pauli_sum_matrix,
-    real_conjugation_matrix,
-)
 from paulievo.pauli import (
     commutes,
     key_to_words,
@@ -59,12 +55,14 @@ from paulievo.propagate import THRESHOLD_GATE_FRACTION, split_policy_by_cadence
 from helpers import (
     all_pauli_texts,
     bytestring_find_rows,
-    dense,
     dumps_pauli_sum,
+    imaginary_conjugation_matrix,
     itpp_loop_oracle,
     lexsort_argsort,
+    pauli_sum_matrix,
     random_pauli_sum,
     random_pauli_text,
+    real_conjugation_matrix,
     squared_state_oracle,
     unpack_string,
 )
@@ -821,10 +819,62 @@ class TestRunItpp:
         sched = ScheduleConfig(0.04, 1.0)
         _, t_small = run_itpp(small, sched)
         _, t_wide = run_itpp(wide, sched)
-        assert np.allclose(
-            t_small.energies(), t_wide.energies(), rtol=0, atol=1e-12
-        )
+        assert np.array_equal(t_small.energies(), t_wide.energies())
         assert [r.n_terms for r in t_small] == [r.n_terms for r in t_wide]
+
+
+EMBEDDED_CHAIN = build_tfim(TfimParams(N=10, J=1.0, h=0.5))
+EMBEDDING_POLICIES = {
+    "threshold": Threshold(2 ** -10),
+    "fixed_k": FixedK(700),
+    "combined": [Threshold(2 ** -9), WeightCutoff(6), FixedK(900)],
+}
+
+
+def embedding_run(hamiltonian, policy_name):
+    """Final strings, coefficients and indices, the per-record (energy,
+    n_terms, purity) and the squared-state energy of a run to tau 0.8."""
+    state, traj = run_itpp(hamiltonian, ScheduleConfig(0.04, 0.8),
+                           EMBEDDING_POLICIES[policy_name])
+    return ([str(p) for p, _ in state.items()], state._coeffs,
+            state._indices, [(r.energy, r.n_terms, r.purity) for r in traj],
+            expectation_squared_state(hamiltonian.to_sum(), state))
+
+
+@functools.cache
+def narrow_embedding_run(policy_name):
+    return embedding_run(EMBEDDED_CHAIN, policy_name)
+
+
+class TestWidthEmbedding:
+    """Identity qubits add zero bits to every key, so a chain embedded in
+    a wider register keeps its canonical order, every float sum and every
+    insertion index: its run equals the narrow run bit for bit.  The
+    (width, offset) pairs span one to five words and put the chain across
+    every word boundary; at (64, 54) it sets bit 0 of word 1, so the
+    two-word composite key does not fit and the byte-string path runs."""
+
+    @pytest.mark.parametrize("policy_name", EMBEDDING_POLICIES)
+    @pytest.mark.parametrize("width, offset", [
+        (32, 0), (32, 22), (40, 27), (64, 54), (70, 27), (70, 60),
+        (100, 59), (130, 60),
+    ])
+    def test_embedded_run_matches_narrow(self, width, offset, policy_name):
+        pad = width - offset - EMBEDDED_CHAIN.n_qubits
+        wide = Hamiltonian(width, [(c, "I" * offset + str(p) + "I" * pad)
+                                   for c, p in EMBEDDED_CHAIN.terms])
+        strings, coeffs, indices, records, estimate = embedding_run(
+            wide, policy_name)
+        (narrow_strings, narrow_coeffs, narrow_indices, narrow_records,
+         narrow_estimate) = narrow_embedding_run(policy_name)
+        assert records == narrow_records
+        assert np.array_equal(coeffs, narrow_coeffs)
+        assert np.array_equal(indices, narrow_indices)
+        assert [s[offset:offset + EMBEDDED_CHAIN.n_qubits]
+                for s in strings] == narrow_strings
+        assert {s[:offset] + s[width - pad:] for s in strings} \
+            == {"I" * (offset + pad)}
+        assert estimate == narrow_estimate
 
 
 def assert_matches_loop_oracle(h, sched, policy, gate_policies,
@@ -980,7 +1030,7 @@ class TestEstimators:
         for _ in range(8):
             obs = random_pauli_sum(rng, 3, 6)
             rho = random_pauli_sum(rng, 3, 6, with_identity=True)
-            mat_o, mat_r = dense(obs), dense(rho)
+            mat_o, mat_r = pauli_sum_matrix(obs), pauli_sum_matrix(rho)
             want = (np.trace(mat_o @ mat_r) / np.trace(mat_r)).real
             assert expectation(obs, rho) == pytest.approx(want, abs=1e-12)
 
@@ -1077,7 +1127,7 @@ class TestEstimators:
         rng = np.random.default_rng(39)
         obs = random_pauli_sum(rng, 3, 5)
         rho = random_pauli_sum(rng, 3, 7, with_identity=True)
-        mo, mr = dense(obs), dense(rho)
+        mo, mr = pauli_sum_matrix(obs), pauli_sum_matrix(rho)
         want = (np.trace(mo @ mr @ mr) / np.trace(mr @ mr)).real
         assert expectation_squared_state(obs, rho) == pytest.approx(want, abs=1e-12)
 
