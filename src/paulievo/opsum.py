@@ -95,6 +95,15 @@ class Threshold:
                              f"{self.delta!r}")
 
 
+def _require_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer of at least 1: a ``bool``
+    and a float are refused even when whole."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedK:
     """Keep at most ``k`` terms, the largest by ``|c|``; ties keep the
@@ -103,8 +112,7 @@ class FixedK:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
+        _require_count("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -114,8 +122,7 @@ class WeightCutoff:
     max_weight: int
 
     def __post_init__(self):
-        if self.max_weight < 1:
-            raise ValueError("max_weight must be positive")
+        _require_count("max_weight", self.max_weight)
 
 
 TruncationPolicy = Union[Threshold, FixedK, WeightCutoff,
@@ -345,28 +352,56 @@ def policy_parts(policy: TruncationPolicy) -> list:
     return [policy]
 
 
-def _keep_mask(part, a: PauliSum) -> np.ndarray | None:
-    """The rows of ``a`` that one policy keeps; ``None`` keeps them all."""
-    if isinstance(part, Threshold):
-        return np.abs(a._coeffs) > part.delta if part.delta else None
-    if isinstance(part, WeightCutoff):
-        return row_weights(a._keys) <= part.max_weight
-    if isinstance(part, FixedK):
-        m = len(a)
-        if m <= part.k:
-            return None
-        absc = np.abs(a._coeffs)
-        # value of the k-th largest magnitude; everything above it is kept
-        # and the remaining slots go to boundary ties in first-seen order
-        kth = np.partition(absc, m - part.k)[m - part.k]
-        keep = absc > kth
-        need = part.k - int(keep.sum())
-        if need > 0:
-            tie_pos = np.flatnonzero(absc == kth)
-            order = np.argpartition(a._indices[tie_pos], need - 1)[:need]
-            keep[tie_pos[order]] = True
-        return keep
-    raise TypeError(f"unknown truncation policy: {part!r}")
+def narrow_keep(policy: TruncationPolicy, rows) -> None:
+    """Narrow candidate masks by each part of ``policy``, in order.
+
+    ``rows`` lists disjoint row sets of one sum as ``(keep, absc, indices,
+    weights)``: a boolean mask of the set's candidate rows, narrowed in
+    place, the rows' magnitudes and insertion indices, and a function
+    returning their Pauli weights, called only for a weight cutoff.  A
+    :class:`Threshold` or :class:`WeightCutoff` masks each set elementwise.
+    A :class:`FixedK` ranks the candidates of all sets together: those
+    above the k-th largest magnitude are kept, and the remaining slots go
+    to the candidates at that magnitude with the smallest insertion
+    indices.
+    """
+    for part in policy_parts(policy):
+        if isinstance(part, Threshold):
+            if part.delta:
+                for keep, absc, _, _ in rows:
+                    keep &= absc > part.delta
+        elif isinstance(part, WeightCutoff):
+            for keep, _, _, weights in rows:
+                keep &= weights() <= part.max_weight
+        elif isinstance(part, FixedK):
+            _keep_largest(part.k, rows)
+        else:
+            raise TypeError(f"unknown truncation policy: {part!r}")
+
+
+def _keep_largest(k: int, rows) -> None:
+    """The :class:`FixedK` part of :func:`narrow_keep`."""
+    mags = np.concatenate([absc[keep] for keep, absc, _, _ in rows])
+    m = mags.size
+    if m <= k:
+        return
+    # value of the k-th largest magnitude; everything above it is kept
+    # and the remaining slots go to boundary ties in first-seen order
+    mags.partition(m - k)
+    kth = mags[m - k]
+    need = k - int(np.count_nonzero(mags[m - k:] > kth))
+    ties = []
+    for keep, absc, indices, _ in rows:
+        tie = np.flatnonzero(keep & (absc == kth))
+        keep &= absc > kth
+        ties.append((keep, tie, indices[tie]))
+    tie_indices = np.concatenate([i for _, _, i in ties])
+    chosen = np.zeros(tie_indices.size, dtype=bool)
+    chosen[np.argpartition(tie_indices, need - 1)[:need]] = True
+    start = 0
+    for keep, tie, _ in ties:
+        keep[tie[chosen[start:start + tie.size]]] = True
+        start += tie.size
 
 
 def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
@@ -374,14 +409,15 @@ def truncate(a: PauliSum, policy: TruncationPolicy) -> PauliSum:
 
     Returns ``a`` itself when no part drops a row.
     """
-    for part in policy_parts(policy):
-        keep = _keep_mask(part, a)
-        if keep is not None and not keep.all():
-            a = PauliSum._from_raw(
-                a.n_qubits, take_rows(a._keys, keep), a._coeffs[keep],
-                a._indices[keep],
-            )
-    return a
+    if not policy_parts(policy):
+        return a
+    keep = np.ones(len(a), dtype=bool)
+    narrow_keep(policy, [(keep, np.abs(a._coeffs), a._indices,
+                          lambda: row_weights(a._keys))])
+    if keep.all():
+        return a
+    return PauliSum._from_raw(a.n_qubits, take_rows(a._keys, keep),
+                              a._coeffs[keep], a._indices[keep])
 
 
 def normalize_by_trace(a: PauliSum) -> PauliSum:
@@ -622,6 +658,16 @@ def _read_v2(f: TextIO, n_qubits: int, n_terms: int, left: int):
         raise ValueError(
             f"checkpoint row {i} is not above row {i - 1} in canonical "
             "order; rows must be sorted and unique"
+        )
+    # FixedK ties break by insertion index, so a repeated index would let
+    # row order decide which rows a resumed run keeps
+    ordered = np.sort(indices)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        first, second = np.flatnonzero(indices == repeats[0])[:2]
+        raise ValueError(
+            f"checkpoint rows {first} and {second} repeat the insertion "
+            f"index {repeats[0]}; indices must be unique"
         )
     trailer = f.read()
     match = _TRAILER.fullmatch(trailer)

@@ -16,10 +16,10 @@ identity operator (the maximally mixed state up to normalization), applies
 the Trotter gate sequence with truncation on a split cadence (size/weight
 budgets and a provisional coefficient cut per gate, the full coefficient
 threshold per step), and records the energy trajectory once per step.  Each
-gate takes the gate part of the policy as it is: its thresholds as one cut
-inside the merge, so rows under it are never inserted, then its budgets as
-a pass over the merged rows; the trace normalization follows.  The
-step-end threshold runs through :func:`~paulievo.opsum.truncate`.
+gate applies the gate part of the policy inside its merge, in the policy's
+order, so a row the policy drops is never inserted; the trace
+normalization follows.  The step-end threshold runs through
+:func:`~paulievo.opsum.truncate`.
 
 Time bookkeeping: one full sweep of ``exp(-(alpha_j dt / 2) h_j)`` factors
 advances the accumulated imaginary time ``tau`` by ``dt``, and because the
@@ -44,6 +44,7 @@ from .opsum import (
     Threshold,
     TraceCollapseError,
     TruncationPolicy,
+    narrow_keep,
     normalize_by_trace,
     normalized_trace,
     overlap,
@@ -60,6 +61,7 @@ from .pauli import (
     phase_exponent,
     require_width,
     row_view,
+    row_weights,
     take_rows,
 )
 
@@ -186,24 +188,28 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
                      branch_when_commuting: bool, stay: float,
                      spawn: float,
                      drop_relative: float = MERGE_DROP_RELATIVE,
-                     cut: float = 0.0) -> PauliSum:
-    """Scale the active rows by ``stay`` and merge their spawn ``spawn * Q P``
-    into the state, keeping only merged rows with ``|c| > cut``.
+                     policy: TruncationPolicy = None) -> PauliSum:
+    """Scale the active rows by ``stay``, merge their spawn ``spawn * Q P``
+    into the state, and truncate the merged rows by ``policy``.
 
     The state is sorted and unique, and XOR with ``Q`` is a bijection, so
     the spawn block is unique too: after sorting that block alone, every
     spawned key either hits exactly one state row, whose coefficient it is
     added to (the existing row keeps its lower index), or is a new row
     inserted at its sorted position.  Every merged coefficient is therefore
-    the same single float sum a full re-sort would form.  The cut (the
-    thresholds of the gate's policy, as one ``delta``) joins the
-    numerical-zero drop in one keep mask, so the result equals
-    ``truncate(gate(state), Threshold(cut))`` without a second pass and
-    without inserting the new rows that pass would remove.  An empty spawn
+    the same single float sum a full re-sort would form.  The candidates
+    are the state rows and the new rows that pass the numerical-zero drop;
+    ``policy`` narrows them, in its own order, before anything is inserted
+    (see :func:`~paulievo.opsum.narrow_keep`).  A new row's fresh index is
+    its position in the spawn block plus one past the largest index, known
+    before the insert, so a :class:`~paulievo.opsum.FixedK` tie breaks as
+    it would over the merged rows, and the result equals
+    ``truncate(gate(state), policy)`` row for row and index for index
+    without inserting the rows that pass would remove.  An empty spawn
     block (no active row, or ``spawn == 0``) takes the same path, so the
-    drop and the cut apply at every gate.  Fresh indices count up from one
-    past the largest index; a state whose largest index leaves no room for
-    the spawn block within int64 is refused with ``ValueError``.
+    drop and the policy apply at every gate.  A state whose largest index
+    leaves no room for the spawn block within int64 is refused with
+    ``ValueError``.
     """
     require_width(gate.generator, state.n_qubits, "gate generator")
     if len(state) == 0:
@@ -233,23 +239,31 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     pos, found = find_rows(keys, spawn_keys)
     coeffs[pos[found]] += spawn_coeffs[found]
     new = np.flatnonzero(~found)
-    # numerical-zero drop, relative to the largest merged magnitude, and
-    # the cut (exact zeros always drop)
+    # numerical-zero drop, relative to the largest merged magnitude (exact
+    # zeros always drop), then the policy over the kept state rows and the
+    # new rows together
     absc = np.abs(coeffs)
     absn = np.abs(spawn_coeffs[new])
     top = np.maximum(absc.max(), absn.max()) if new.size else absc.max()
     floor = drop_relative * top
-    keep = (absc >= floor) & (absc > cut)
-    new = new[(absn >= floor) & (absn > cut)]
+    keep = (absc >= floor) & (absc > 0.0)
+    keep_new = (absn >= floor) & (absn > 0.0)
+    # fresh indices start above every index in the state and follow the
+    # rank within the spawn block
+    narrow_keep(policy, [
+        (keep, absc, state._indices, lambda: row_weights(keys)),
+        (keep_new, absn, new + (last + 1),
+         lambda: row_weights(spawn_keys)[new]),
+    ])
+    new = new[keep_new]
     # gather the new rows and free the spawn block before the kept state
-    # rows are copied, so the two never coexist at full size; fresh
-    # indices start above every index in the state and follow the rank
-    # within the spawn block
+    # rows are copied, so the two never coexist at full size
     fresh_keys = row_view(spawn_keys)[new]
     fresh_coeffs = spawn_coeffs[new]
     fresh_indices = new + (last + 1)
     below = pos[new]
-    del spawn_keys, spawn_coeffs, pos, found, new, act, order, k4, absc, absn
+    del spawn_keys, spawn_coeffs, pos, found, new, keep_new, act, order, k4
+    del absc, absn
     indices = state._indices
     all_kept = bool(keep.all())
     if not all_kept:
@@ -292,27 +306,20 @@ def apply_imaginary_gate(state: PauliSum, gate: GateSpec, *,
     twice the input.  Merged entries below ``drop_relative`` times the
     largest magnitude drop as numerical zeros (exact zeros always drop).
 
-    ``policy`` is applied to the merged result: the result is, row for row
+    ``policy`` truncates the merged rows inside the merge, in its own
+    order, before the new rows are inserted: the result is, row for row
     and index for index, ``truncate(apply_imaginary_gate(state, gate),
-    policy)``.  Its :class:`~paulievo.opsum.Threshold` parts act as one cut
-    at their largest ``delta`` inside the merge, so rows under it are never
-    inserted; its :class:`~paulievo.opsum.FixedK` and
-    :class:`~paulievo.opsum.WeightCutoff` parts then run in their own order
-    over the merged rows.  This is exact because a coefficient filter
-    commutes with both.  :func:`run_itpp` passes the gate part of its
-    policy this way.
+    policy)``, and no row that pass would remove is ever inserted.
+    :func:`run_itpp` passes the gate part of its policy this way.
     """
     if gate.tau_eff is None:
         raise ValueError("gate carries no tau_eff")
     t = gate.tau_eff
-    parts = policy_parts(policy)
-    merged = _apply_generator(
+    return _apply_generator(
         state, gate, branch_when_commuting=True,
         stay=math.cosh(t), spawn=-math.sinh(t), drop_relative=drop_relative,
-        cut=max((p.delta for p in parts if isinstance(p, Threshold)),
-                default=0.0),
+        policy=policy,
     )
-    return truncate(merged, [p for p in parts if not isinstance(p, Threshold)])
 
 
 def apply_real_gate(state: PauliSum, gate: GateSpec) -> PauliSum:
@@ -450,7 +457,7 @@ def split_policy_by_cadence(policy: TruncationPolicy):
 
     Each part is returned as a plain policy list, or ``None`` when empty.
     :func:`run_itpp` hands the gate part to :func:`apply_imaginary_gate` as
-    it is.
+    it is, which applies it inside the gate's merge.
     """
     gate_part, step_part = [], []
     for p in policy_parts(policy):
@@ -481,8 +488,9 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     and the provisional coefficient cuts at every gate, the full
     coefficient thresholds once per Trotter step.
     Each gate is one :func:`apply_imaginary_gate` with the gate part as
-    its ``policy`` (thresholds as one cut inside the merge, budgets over
-    the merged rows) and one trace normalization.  A complex
+    its ``policy``, applied inside the merge before the new rows are
+    inserted, and one trace normalization; :func:`truncate` runs only at
+    step end, for the step part.  A complex
     ``initial_state`` is refused with ``TypeError``, a real one normalized
     by its trace, before any gate runs.  After each step a
     :class:`TrajectoryRecord` is written with the energy ``tr(H rho)``, its

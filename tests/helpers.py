@@ -21,12 +21,14 @@ from paulievo import (
     multiply,
     normalize_by_trace,
     pauli_from_text,
+    purity,
     save_pauli_sum,
     trotter_sequence,
     truncate,
 )
 from paulievo.cli import RunConfig, _config_from_texts, load_config_file
 from paulievo.oracle import hamiltonian_matrix
+from paulievo.propagate import split_policy_by_cadence
 from paulievo.pauli import key_to_words, n_words, words_to_key
 
 
@@ -206,12 +208,35 @@ def itpp_loop_oracle(hamiltonian, schedule, gate_policies, step_policies):
     ``step_policies`` in order and, when there are any, one more
     normalization.  Returns the final state and one ``(energy, n_terms)``
     pair per step, including ``tau = 0``."""
+    state, records = _two_pass_loop(hamiltonian, schedule, gate_policies,
+                                    step_policies)
+    return state, [(energy, n_terms) for energy, n_terms, _ in records]
+
+
+def two_pass_itpp(hamiltonian, schedule, policy):
+    """``run_itpp`` in its two-pass form: every gate is
+    ``apply_imaginary_gate`` without a policy, then ``truncate`` by the gate
+    part of ``split_policy_by_cadence(policy)`` and ``normalize_by_trace``;
+    the step part truncates at step end.  Returns the final state and one
+    ``(energy, n_terms, purity)`` per record, including ``tau = 0``."""
+    gate_part, step_part = split_policy_by_cadence(policy)
+    return _two_pass_loop(hamiltonian, schedule, gate_part or [],
+                          step_part or [])
+
+
+def _two_pass_loop(hamiltonian, schedule, gate_policies, step_policies):
+    """The loop of :func:`itpp_loop_oracle`, recording ``(energy, n_terms,
+    purity)``."""
     h_sum = hamiltonian.to_sum()
     one_step = ScheduleConfig(schedule.delta_tau, schedule.delta_tau,
                               schedule.term_ordering)
     gates = trotter_sequence(hamiltonian, one_step)
     state = PauliSum.identity(hamiltonian.n_qubits)
-    records = [(expectation(h_sum, state), len(state))]
+
+    def record():
+        return expectation(h_sum, state), len(state), purity(state)
+
+    records = [record()]
     for _ in range(schedule.n_steps):
         for g in gates:
             state = apply_imaginary_gate(state, g)
@@ -222,7 +247,7 @@ def itpp_loop_oracle(hamiltonian, schedule, gate_policies, step_policies):
             for policy in step_policies:
                 state = truncate(state, policy)
             state = normalize_by_trace(state)
-        records.append((expectation(h_sum, state), len(state)))
+        records.append(record())
     return state, records
 
 

@@ -299,6 +299,34 @@ class TestTruncate:
         with pytest.raises(ValueError):
             Threshold(delta)
 
+    @pytest.mark.parametrize("build, named", [
+        pytest.param(lambda: FixedK(2.5), "k must be an integer, not 2.5",
+                     id="fixed-k-2.5"),
+        pytest.param(lambda: FixedK(2.0), "k must be an integer, not 2.0",
+                     id="fixed-k-2.0"),
+        pytest.param(lambda: FixedK(True), "k must be an integer, not True",
+                     id="fixed-k-True"),
+        pytest.param(lambda: FixedK(np.True_), "k must be an integer",
+                     id="fixed-k-numpy-True"),
+        pytest.param(lambda: WeightCutoff(1.5),
+                     "max_weight must be an integer, not 1.5", id="weight-1.5"),
+        pytest.param(lambda: WeightCutoff(True),
+                     "max_weight must be an integer, not True",
+                     id="weight-True"),
+        pytest.param(lambda: FixedK(np.int64(-1)), "k must be positive",
+                     id="fixed-k-numpy-negative"),
+    ])
+    def test_counts_must_be_positive_integers(self, build, named):
+        with pytest.raises(ValueError, match=named):
+            build()
+
+    def test_numpy_integer_counts_accepted(self):
+        a = PauliSum.from_terms(
+            2, [(1.0, "II"), (0.5, "ZZ"), (0.25, "XI"), (0.125, "XX")]
+        )
+        assert truncate(a, [WeightCutoff(np.int64(1)), FixedK(np.int32(2))]) \
+            == truncate(a, [WeightCutoff(1), FixedK(2)])
+
     def test_threshold_is_one_cut(self):
         # a run's per-gate cut is decided by split_policy_by_cadence, not
         # carried by the threshold
@@ -796,6 +824,25 @@ class TestCorruptCheckpoints:
                                      tmp_path):
         self._assert_rejected(n, lambda body: edit(body[:5]) + body[5:],
                               names, says, block, tmp_path)
+
+    @pytest.mark.parametrize("block", [2, CHECKPOINT_BLOCK_ROWS])
+    def test_repeated_insertion_index_rejected(self, block):
+        # written as is, so the crc covers the repeats; only the index
+        # check can refuse the file
+        base = PauliSum.from_terms(
+            3, [(1.0, "III"), (0.5, "IIZ"), (-0.25, "IXI"), (0.125, "YII")])
+        a = PauliSum._from_raw(3, base._keys, base._coeffs,
+                               np.array([0, 1, 1, 1]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(opsum_module, "CHECKPOINT_BLOCK_ROWS", block)
+            with pytest.raises(ValueError, match=r"checkpoint rows 1 and 2 "
+                               r"repeat the insertion index 1\b"):
+                load_pauli_sum(io.StringIO(dumps_pauli_sum(a)))
+        spread = PauliSum._from_raw(3, base._keys, base._coeffs,
+                                    np.array([7, -2, 5, -2]))
+        with pytest.raises(ValueError, match="rows 1 and 3 repeat the "
+                           "insertion index -2"):
+            load_pauli_sum(io.StringIO(dumps_pauli_sum(spread)))
 
     @pytest.mark.parametrize("n", [33, 34, 35, 70])
     def test_every_padding_bit_rejected(self, n):

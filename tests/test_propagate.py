@@ -64,6 +64,7 @@ from helpers import (
     random_pauli_text,
     real_conjugation_matrix,
     squared_state_oracle,
+    two_pass_itpp,
     unpack_string,
 )
 
@@ -476,6 +477,26 @@ class TestMergeKernel:
                            [Threshold(tie / 2), FixedK(4)])
         assert "XIII" in out and "IZII" not in out
 
+    def test_fixed_k_tie_split_between_old_and_fresh_rows(self):
+        """Two untouched state rows and two fresh rows hold the k-th
+        magnitude: the budget's last three slots take both state rows and
+        the fresh row with the smaller index."""
+        t, c = 0.3, 0.5
+        tie = c * math.sinh(t)  # |spawn| of the fresh IZII and IZZI
+        state = PauliSum.from_terms(4, [
+            (1.0, "IIII"), (c, "ZZII"), (c, "ZZZI"), (tie, "XIII"),
+            (tie, "XXII"),
+        ])
+        g = gate("ZIII", tau=t)
+        merged = apply_imaginary_gate(state, g)
+        assert sorted(str(p) for p, v in merged.items() if abs(v) == tie) \
+            == ["IZII", "IZZI", "XIII", "XXII"]
+        fresh = min(("IZII", "IZZI"), key=merged.insertion_index)
+        out = check_policy(state, g, FixedK(7))
+        assert {str(p) for p, v in out.items() if abs(v) == tie} \
+            == {"XIII", "XXII", fresh}
+        assert out.insertion_index(fresh) == merged.insertion_index(fresh)
+
     def test_cut_zero_angle_gate(self):
         # tau_eff = 0 spawns only zeros, which the merge drops; the cut and
         # the budget apply as at any other gate
@@ -824,6 +845,13 @@ class TestRunItpp:
 
 
 EMBEDDED_CHAIN = build_tfim(TfimParams(N=10, J=1.0, h=0.5))
+# the chain with a longitudinal field, which breaks the TFIM's global spin
+# flip: its states hold strings that differ in a single z bit
+EMBEDDED_CHAINS = {
+    "tfim": EMBEDDED_CHAIN,
+    "field": Hamiltonian(10, [*EMBEDDED_CHAIN.terms, *[
+        (0.3, "I" * i + "Z" + "I" * (9 - i)) for i in range(10)]]),
+}
 EMBEDDING_POLICIES = {
     "threshold": Threshold(2 ** -10),
     "fixed_k": FixedK(700),
@@ -842,8 +870,29 @@ def embedding_run(hamiltonian, policy_name):
 
 
 @functools.cache
-def narrow_embedding_run(policy_name):
-    return embedding_run(EMBEDDED_CHAIN, policy_name)
+def narrow_embedding_run(chain_name, policy_name):
+    return embedding_run(EMBEDDED_CHAINS[chain_name], policy_name)
+
+
+def check_embedding(chain_name, width, offset, policy_name):
+    """The chain run at ``offset`` in a ``width``-qubit register equals
+    the narrow run bit for bit."""
+    chain = EMBEDDED_CHAINS[chain_name]
+    pad = width - offset - chain.n_qubits
+    wide = Hamiltonian(width, [(c, "I" * offset + str(p) + "I" * pad)
+                               for c, p in chain.terms])
+    strings, coeffs, indices, records, estimate = embedding_run(
+        wide, policy_name)
+    (narrow_strings, narrow_coeffs, narrow_indices, narrow_records,
+     narrow_estimate) = narrow_embedding_run(chain_name, policy_name)
+    assert records == narrow_records
+    assert np.array_equal(coeffs, narrow_coeffs)
+    assert np.array_equal(indices, narrow_indices)
+    assert [s[offset:offset + chain.n_qubits]
+            for s in strings] == narrow_strings
+    assert {s[:offset] + s[width - pad:] for s in strings} \
+        == {"I" * (offset + pad)}
+    assert estimate == narrow_estimate
 
 
 class TestWidthEmbedding:
@@ -852,7 +901,12 @@ class TestWidthEmbedding:
     insertion index: its run equals the narrow run bit for bit.  The
     (width, offset) pairs span one to five words and put the chain across
     every word boundary; at (64, 54) it sets bit 0 of word 1, so the
-    two-word composite key does not fit and the byte-string path runs."""
+    two-word composite key does not fit and the byte-string path runs.
+    The TFIM's states are even under the global spin flip, so no two of
+    their strings differ in one z bit; the field chain's are not, so a
+    sort or lookup that loses word 1's lowest used bit shows there.  These
+    runs are the end-to-end check of a change to the sort and lookup
+    kernels."""
 
     @pytest.mark.parametrize("policy_name", EMBEDDING_POLICIES)
     @pytest.mark.parametrize("width, offset", [
@@ -860,21 +914,15 @@ class TestWidthEmbedding:
         (100, 59), (130, 60),
     ])
     def test_embedded_run_matches_narrow(self, width, offset, policy_name):
-        pad = width - offset - EMBEDDED_CHAIN.n_qubits
-        wide = Hamiltonian(width, [(c, "I" * offset + str(p) + "I" * pad)
-                                   for c, p in EMBEDDED_CHAIN.terms])
-        strings, coeffs, indices, records, estimate = embedding_run(
-            wide, policy_name)
-        (narrow_strings, narrow_coeffs, narrow_indices, narrow_records,
-         narrow_estimate) = narrow_embedding_run(policy_name)
-        assert records == narrow_records
-        assert np.array_equal(coeffs, narrow_coeffs)
-        assert np.array_equal(indices, narrow_indices)
-        assert [s[offset:offset + EMBEDDED_CHAIN.n_qubits]
-                for s in strings] == narrow_strings
-        assert {s[:offset] + s[width - pad:] for s in strings} \
-            == {"I" * (offset + pad)}
-        assert estimate == narrow_estimate
+        check_embedding("tfim", width, offset, policy_name)
+
+    @pytest.mark.parametrize("policy_name", EMBEDDING_POLICIES)
+    @pytest.mark.parametrize("width, offset", [(40, 27), (33, 23)])
+    def test_field_chain_embedded_run_matches_narrow(self, width, offset,
+                                                     policy_name):
+        # the longitudinal field puts I and the last qubit's Z, which
+        # differ only in word 1's lowest used bit, in the same state
+        check_embedding("field", width, offset, policy_name)
 
 
 def assert_matches_loop_oracle(h, sched, policy, gate_policies,
@@ -1008,6 +1056,54 @@ class TestGateCutInRun:
             [Threshold(a), Threshold(b)],
             [Threshold(f * a), Threshold(f * b)], [Threshold(a), Threshold(b)],
         )
+
+
+def fused_budget_policy(n, name):
+    k = 256 if n == 12 else 512
+    return {
+        "fixed_k": FixedK(k),
+        "weight_then_fixed_k": [WeightCutoff(4), FixedK(k)],
+        "fixed_k_then_weight": [FixedK(k), WeightCutoff(4)],
+        "threshold_then_fixed_k": [Threshold(2 ** -10), FixedK(k)],
+    }[name]
+
+
+class TestFusedBudgetInRun:
+    """``run_itpp`` applies the gate part of its policy inside each gate's
+    merge, before the insert; the two-pass loop applies it to the merged
+    state.  Budgets break ties by insertion index, and the TFIM's uniform
+    couplings make ties at the k-th magnitude common."""
+
+    @pytest.mark.parametrize("name", ["fixed_k", "weight_then_fixed_k",
+                                      "fixed_k_then_weight",
+                                      "threshold_then_fixed_k"])
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_matches_two_pass_loop(self, n, name):
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        sched = ScheduleConfig(0.04, 0.2)
+        policy = fused_budget_policy(n, name)
+        state, traj = run_itpp(h, sched, policy)
+        ref_state, ref_records = two_pass_itpp(h, sched, policy)
+        assert_same_rows(state, ref_state)
+        assert [(r.energy, r.n_terms, r.purity) for r in traj] == ref_records
+
+    @pytest.mark.parametrize("policy, step_part", [
+        (FixedK(64), None),
+        ([Threshold(2 ** -8), FixedK(64)], [Threshold(2 ** -8)]),
+    ], ids=["fixed_k", "threshold_and_fixed_k"])
+    def test_truncate_runs_only_at_step_end(self, monkeypatch, policy,
+                                            step_part):
+        calls = []
+
+        def counted(state, part):
+            calls.append(part)
+            return truncate(state, part)
+
+        monkeypatch.setattr(propagate_module, "truncate", counted)
+        sched = ScheduleConfig(0.04, 0.2)
+        run_itpp(build_tfim(TfimParams(N=6, J=1.0, h=0.5)), sched, policy)
+        assert calls == ([] if step_part is None
+                         else [step_part] * sched.n_steps)
 
 
 class TestEstimators:
