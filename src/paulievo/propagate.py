@@ -89,7 +89,9 @@ class GateSpec:
 
     Exactly one of ``tau_eff`` (imaginary time, sign included) or ``theta``
     (real-time rotation angle) is set.  Identity generators are rejected;
-    they only rescale the state and are handled as energy offsets.
+    they only rescale the state and are handled as energy offsets.  So is
+    a ``tau_eff`` whose ``cosh`` is not a finite float (``|tau_eff|`` past
+    about 710.48, or not finite), naming the generator and the angle.
     """
 
     generator: PauliString
@@ -101,6 +103,16 @@ class GateSpec:
             raise ValueError("identity generators are no-ops and not allowed")
         if (self.tau_eff is None) == (self.theta is None):
             raise ValueError("set exactly one of tau_eff or theta")
+        if self.tau_eff is not None:
+            try:
+                finite = math.isfinite(math.cosh(self.tau_eff))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(
+                    f"imaginary angle tau_eff = {self.tau_eff!r} of "
+                    f"generator {self.generator} has no finite cosh"
+                )
 
 
 @dataclass(frozen=True)
@@ -196,20 +208,32 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     the spawn block is unique too: after sorting that block alone, every
     spawned key either hits exactly one state row, whose coefficient it is
     added to (the existing row keeps its lower index), or is a new row
-    inserted at its sorted position.  Every merged coefficient is therefore
-    the same single float sum a full re-sort would form.  The candidates
-    are the state rows and the new rows that pass the numerical-zero drop;
-    ``policy`` narrows them, in its own order, before anything is inserted
-    (see :func:`~paulievo.opsum.narrow_keep`).  A new row's fresh index is
-    its position in the spawn block plus one past the largest index, known
-    before the insert, so a :class:`~paulievo.opsum.FixedK` tie breaks as
-    it would over the merged rows, and the result equals
-    ``truncate(gate(state), policy)`` row for row and index for index
-    without inserting the rows that pass would remove.  An empty spawn
-    block (no active row, or ``spawn == 0``) takes the same path, so the
-    drop and the policy apply at every gate.  A state whose largest index
-    leaves no room for the spawn block within int64 is refused with
-    ``ValueError``.
+    inserted at its sorted position.  Hits come in pairs: ``R = Q P`` in
+    the state is active too, and spawns back onto ``P``.  ``P`` and ``R``
+    differ in ``Q``'s highest bit in its first nonzero word (its pair
+    bit), so the two spawns of a pair lie on opposite sides of that bit,
+    and one lookup of the smaller side finds every pair.  With ``Q R = i^k
+    P``, ``P`` gains ``c_R spawn _SIGN_FROM_K4[k]`` and ``R`` gains ``c_P
+    spawn _SIGN_FROM_K4[-k]``: for imaginary gates ``k`` is even and the
+    signs agree, for real gates it is odd and they differ.  Every merged
+    coefficient is therefore the same single float sum a full re-sort
+    would form.
+
+    The candidates are the state rows and the new rows that pass the
+    numerical-zero drop; a new row's magnitude is ``|c_P spawn|``, so the
+    drop and ``policy`` run before any new row is signed, and ``policy``
+    narrows the candidates, in its own order, before anything is inserted
+    (see :func:`~paulievo.opsum.narrow_keep`).  Only the kept new rows
+    of the unsearched side are looked up, for their insert positions.  A
+    new row's fresh index is its position in the sorted spawn block plus
+    one past the largest index, known before the insert, so a
+    :class:`~paulievo.opsum.FixedK` tie breaks as it would over the merged
+    rows, and the result equals ``truncate(gate(state), policy)`` row for
+    row and index for index without inserting the rows that pass would
+    remove.  An empty spawn block (no active row, or ``spawn == 0``) takes
+    the same path, so the drop and the policy apply at every gate.  A
+    state whose largest index leaves no room for the spawn block within
+    int64 is refused with ``ValueError``.
     """
     require_width(gate.generator, state.n_qubits, "gate generator")
     if len(state) == 0:
@@ -233,17 +257,35 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     order = canonical_argsort(spawn_keys)
     spawn_keys = take_rows(spawn_keys, order)
     act = act[order]
-    # multiply(Q, P), with each source row P recovered as spawned key ^ Q
-    k4 = phase_exponent(gwords, spawn_keys ^ gwords)
-    spawn_coeffs = state._coeffs[act] * (spawn * _SIGN_FROM_K4[k4])
-    pos, found = find_rows(keys, spawn_keys)
-    coeffs[pos[found]] += spawn_coeffs[found]
-    new = np.flatnonzero(~found)
+    # the spawned keys on the smaller side of Q's pair bit are searched
+    word = int(np.flatnonzero(gwords)[0])
+    pair_bit = np.uint64(1 << (int(gwords[word]).bit_length() - 1))
+    side = (spawn_keys[:, word] & pair_bit) != 0
+    if 2 * np.count_nonzero(side) > side.size:
+        np.logical_not(side, out=side)
+    searched = np.flatnonzero(side)
+    pos, found = find_rows(keys, take_rows(spawn_keys, searched))
+    hits = pos[found]
+    sources = act[searched[found]]
+    # Q R = i^k P for a hit R of source P, so Q P = i^-k R
+    k4 = phase_exponent(gwords, take_rows(keys, hits))
+    coeffs[hits] += state._coeffs[sources] * (spawn * _SIGN_FROM_K4[-k4 & 3])
+    coeffs[sources] += state._coeffs[hits] * (spawn * _SIGN_FROM_K4[k4])
+    paired = np.zeros(len(state), dtype=bool)
+    paired[hits] = True
+    paired[sources] = True
+    # a spawn lands on the state exactly when its source is in a hit pair
+    new = np.flatnonzero(~paired[act])
+    # the searched side's new rows, in spawn order, with their positions
+    pos = pos[~found]
+    del paired, searched, found, hits, sources, k4, order
+    new_sources = state._coeffs[act[new]]
     # numerical-zero drop, relative to the largest merged magnitude (exact
     # zeros always drop), then the policy over the kept state rows and the
-    # new rows together
+    # new rows together; a new row is signed only once kept, since its
+    # sign leaves its magnitude as it is
     absc = np.abs(coeffs)
-    absn = np.abs(spawn_coeffs[new])
+    absn = np.abs(new_sources * spawn)
     top = np.maximum(absc.max(), absn.max()) if new.size else absc.max()
     floor = drop_relative * top
     keep = (absc >= floor) & (absc > 0.0)
@@ -255,15 +297,21 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
         (keep_new, absn, new + (last + 1),
          lambda: row_weights(spawn_keys)[new]),
     ])
+    pos = pos[keep_new[side[new]]]
     new = new[keep_new]
     # gather the new rows and free the spawn block before the kept state
     # rows are copied, so the two never coexist at full size
-    fresh_keys = row_view(spawn_keys)[new]
-    fresh_coeffs = spawn_coeffs[new]
+    fresh_keys = take_rows(spawn_keys, new)
+    on_side = side[new]
+    below = np.empty(new.size, dtype=np.intp)
+    below[on_side] = pos
+    below[~on_side] = find_rows(keys, take_rows(fresh_keys, ~on_side))[0]
+    # Q S = i^k P for a new row S of source P
+    k4 = phase_exponent(gwords, fresh_keys)
+    fresh_coeffs = new_sources[keep_new] * (spawn * _SIGN_FROM_K4[-k4 & 3])
     fresh_indices = new + (last + 1)
-    below = pos[new]
-    del spawn_keys, spawn_coeffs, pos, found, new, keep_new, act, order, k4
-    del absc, absn
+    del spawn_keys, act, side, pos, new, keep_new, on_side, k4
+    del new_sources, absc, absn
     indices = state._indices
     all_kept = bool(keep.all())
     if not all_kept:
@@ -287,7 +335,7 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
         out[is_old] = old
         return out
 
-    rows = insert(row_view(keys), fresh_keys)
+    rows = insert(row_view(keys), row_view(fresh_keys))
     return PauliSum._from_raw(
         state.n_qubits,
         rows.view(np.uint64).reshape(total, keys.shape[1]),

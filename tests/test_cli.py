@@ -251,6 +251,18 @@ class TestRunItpp:
         assert "Traceback" not in res.stderr
         assert not out.exists()
 
+    def test_angle_past_cosh_range_exits_2(self, tmp_path):
+        # 18000 * 0.04 = 720 lies past the 710.48 where cosh overflows
+        terms = tmp_path / "model.txt"
+        terms.write_text("18000 ZZ\n1 XI\n")
+        res = run_cli("run-itpp", "--kind", "terms", "--terms-file",
+                      str(terms), "--delta-tau", "0.04", "--out-dir",
+                      str(tmp_path / "run"))
+        assert res.returncode == 2
+        assert ("error: imaginary angle tau_eff = 720.0 of generator ZZ "
+                "has no finite cosh") in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_zero_reference_leaves_rel_error_empty(self, tmp_path):
         out = tmp_path / "run"
         res = run_cli("run-itpp", "--N", "3", "--J", "0", "--h", "0",

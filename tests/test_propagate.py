@@ -45,9 +45,12 @@ from paulievo import (
 )
 from paulievo.opsum import MERGE_DROP_RELATIVE, _coalesce
 from paulievo.pauli import (
+    anticommute_mask,
     commutes,
+    find_rows,
     key_to_words,
     multiply,
+    phase_exponent,
     row_weights,
 )
 from paulievo.propagate import THRESHOLD_GATE_FRACTION, split_policy_by_cadence
@@ -84,6 +87,19 @@ class TestGateSpec:
             GateSpec(generator=z)
         with pytest.raises(ValueError):
             GateSpec(generator=z, tau_eff=0.1, theta=0.2)
+
+    @pytest.mark.parametrize("tau", [720.0, -710.4758600739440, math.inf,
+                                     math.nan])
+    def test_angle_without_finite_cosh_refused(self, tau):
+        with pytest.raises(ValueError, match=re.escape(
+                f"tau_eff = {tau!r} of generator ZZ has no finite cosh")):
+            gate("ZZ", tau=tau)
+
+    def test_largest_finite_cosh_angle_runs(self):
+        # cosh and sinh overflow at the same angle, so the gate runs
+        tau = 710.4758600739439
+        out = apply_imaginary_gate(PauliSum.identity(2), gate("ZZ", tau=tau))
+        assert np.isfinite(out._coeffs).all() and len(out) == 2
 
 
 class TestImaginaryGate:
@@ -269,6 +285,39 @@ def gate_rule(g, drop_relative=MERGE_DROP_RELATIVE):
 CROSS_WORD_SITES = [(40, (31, 32)), (70, (0, 65))]
 
 
+def draw_gate(draw, n, sites):
+    """A gate with drawn letters on ``sites`` of ``n`` qubits, imaginary or
+    real, with a drawn angle: ``(gate, stay, spawn, drop_relative)``."""
+    letters = ["I"] * n
+    for q in sites:
+        letters[q] = draw(st.sampled_from("XYZ"))
+    generator = pauli_from_text("".join(letters))
+    angle = draw(st.floats(0.01, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        g = GateSpec(generator, tau_eff=angle)
+        stay, spawn = math.cosh(angle), -math.sinh(angle)
+        drop = draw(st.sampled_from([MERGE_DROP_RELATIVE, 0.0]))
+    else:
+        g = GateSpec(generator, theta=angle)
+        stay, spawn = math.cos(angle), math.sin(angle)
+        drop = MERGE_DROP_RELATIVE
+    return g, stay, spawn, drop
+
+
+def draw_partner(draw, c, k, stay, spawn, cancel):
+    """The coefficient of the ``Q P`` partner of a term ``c P`` whose
+    product ``Q P`` has phase ``i^k``: drawn, or, with ``cancel``, one that
+    the spawn landing on it cancels exactly or up to a few ulps."""
+    partner = c * draw(st.floats(-1.0, 1.0))
+    if cancel:
+        # the partner's merged value is fl(c_R * stay) + c * spawn * sign
+        landing = c * (spawn * _SPAWN_SIGN[k])
+        partner = -landing / stay
+        for _ in range(abs(draw(st.integers(-12, 12)))):
+            partner = np.nextafter(partner, math.inf)
+    return float(partner)
+
+
 @st.composite
 def merge_cases(draw, n=None, sites=None):
     """A gate and a state built around it: random terms, some with their
@@ -281,20 +330,7 @@ def merge_cases(draw, n=None, sites=None):
     if sites is None:
         sites = draw(st.lists(st.integers(0, n - 1), min_size=1,
                               max_size=3, unique=True))
-    letters = ["I"] * n
-    for q in sites:
-        letters[q] = draw(st.sampled_from("XYZ"))
-    generator = pauli_from_text("".join(letters))
-    angle = draw(st.floats(0.01, 1.5)) * draw(st.sampled_from([1.0, -1.0]))
-    imaginary = draw(st.booleans())
-    if imaginary:
-        g = GateSpec(generator, tau_eff=angle)
-        stay, spawn = math.cosh(angle), -math.sinh(angle)
-        drop = draw(st.sampled_from([MERGE_DROP_RELATIVE, 0.0]))
-    else:
-        g = GateSpec(generator, theta=angle)
-        stay, spawn = math.cos(angle), math.sin(angle)
-        drop = MERGE_DROP_RELATIVE
+    g, stay, spawn, drop = draw_gate(draw, n, sites)
     terms = {}
     if draw(st.booleans()):
         terms["I" * n] = 1.0
@@ -304,16 +340,9 @@ def merge_cases(draw, n=None, sites=None):
         mode = draw(st.sampled_from(["alone", "partner", "cancel"]))
         if mode == "alone":
             continue
-        p = pauli_from_text(text)
-        phase, r = multiply(generator, p)
-        partner = c * draw(st.floats(-1.0, 1.0))
-        if mode == "cancel":
-            # the partner's merged value is fl(c_R * stay) + c * spawn * sign
-            landing = c * (spawn * _SPAWN_SIGN[phase.k])
-            partner = -landing / stay
-            for _ in range(abs(draw(st.integers(-12, 12)))):
-                partner = np.nextafter(partner, math.inf)
-        terms[r.text()] = float(partner)
+        phase, r = multiply(g.generator, pauli_from_text(text))
+        terms[r.text()] = draw_partner(draw, c, phase.k, stay, spawn,
+                                       mode == "cancel")
     state = PauliSum.from_terms(
         n, [(c, t) for t, c in terms.items() if c != 0.0]
     )
@@ -560,6 +589,132 @@ class TestFreshIndexRange:
         fresh = np.sort(out._indices[out._indices > top])
         assert fresh.tolist() == [top + 1, top + 2, top + 3]
         assert fresh[-1] == np.iinfo(np.int64).max
+
+
+@st.composite
+def paired_merge_cases(draw, n=None, sites=None):
+    """A gate and a state made of hit pairs: every drawn term is active
+    under the gate and comes with its ``Q P`` partner, so nearly every
+    spawn hits, and the pair members on the unsearched side of ``Q``'s
+    pair bit are found only through their partners.  Unless ``sites`` is
+    given, the generator's first site is drawn in word 0, 1 or 2 of the
+    key, which puts the pair bit in that word."""
+    if n is None:
+        n = draw(st.sampled_from([12, 40, 70]))
+    if sites is None:
+        word = draw(st.integers(0, (n - 1) // 32))
+        first = draw(st.integers(32 * word, min(n, 32 * word + 32) - 1))
+        sites = sorted({first, *draw(st.lists(st.integers(first, n - 1),
+                                              max_size=2))})
+    g, stay, spawn, drop = draw_gate(draw, n, sites)
+    imaginary = g.tau_eff is not None
+    q, letter = sites[0], g.generator.letter(sites[0])
+    strings = st.text("IXYZ", min_size=n, max_size=n)
+    terms = {}
+    for text in draw(st.lists(strings, min_size=1, max_size=12, unique=True)):
+        if commutes(pauli_from_text(text), g.generator) != imaginary:
+            # a letter that anticommutes with Q's at its first site becomes
+            # one that commutes, or the other way round
+            swap = "I" if text[q] not in ("I", letter) else \
+                next(a for a in "XYZ" if a != letter)
+            text = text[:q] + swap + text[q + 1:]
+        c = draw(st.floats(1e-3, 1.0)) * draw(st.sampled_from([1.0, -1.0]))
+        terms[text] = c
+        phase, r = multiply(g.generator, pauli_from_text(text))
+        terms[r.text()] = draw_partner(draw, c, phase.k, stay, spawn,
+                                       draw(st.booleans()))
+    state = PauliSum.from_terms(
+        n, [(c, t) for t, c in terms.items() if c != 0.0]
+    )
+    return state, g, drop
+
+
+def drawn_policy(data, merged):
+    """A list of one to four policies around the merged rows: thresholds
+    on a merged magnitude or just above it, budgets near the merged size
+    or below it, weight cutoffs at a merged row's weight."""
+    mags = sorted(set(np.abs(merged._coeffs).tolist()))
+    thresholds = st.sampled_from(mags).flatmap(
+        lambda m: st.sampled_from([m, float(np.nextafter(m, math.inf))])
+    ).map(Threshold)
+    budgets = st.one_of(
+        st.integers(max(1, len(merged) - 4), len(merged) + 1),
+        st.integers(1, max(1, len(merged))),
+    ).map(FixedK)
+    weights = st.sampled_from(
+        sorted(set(row_weights(merged._keys).tolist()) - {0})
+        or [1]).map(WeightCutoff)
+    return data.draw(st.lists(st.one_of(thresholds, budgets, weights),
+                              min_size=1, max_size=4))
+
+
+class TestPairedLookup:
+    """The gate looks up one side of the spawn block and merges each hit
+    pair ``{P, Q P}`` from that side alone."""
+
+    @staticmethod
+    def check(state, g, drop, data):
+        apply, oracle = gate_rule(g, drop)
+        merged = apply(state)
+        assert_same_rows(merged, oracle(state))
+        if g.tau_eff is not None:
+            check_policy(state, g, drawn_policy(data, merged), drop)
+
+    @settings(max_examples=300, deadline=None)
+    @given(paired_merge_cases(), st.data())
+    def test_pairs_match_coalesce_oracle(self, case, data):
+        self.check(*case, data)
+
+    @pytest.mark.parametrize("n, sites", CROSS_WORD_SITES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_cross_word_pairs_match_coalesce_oracle(self, n, sites, data):
+        self.check(*data.draw(paired_merge_cases(n, sites)), data)
+
+    @pytest.mark.parametrize("n, policy", [
+        (12, Threshold(2 ** -7)), (40, FixedK(512)),
+    ], ids=["n12_threshold", "n40_fixed_k"])
+    def test_lookups_cover_one_side_of_each_pair(self, monkeypatch, n,
+                                                 policy):
+        """Per gate of one Trotter step, the rows looked up stay within
+        half the spawn block plus the fresh rows inserted, and the rows
+        whose phase is taken within the hit pairs plus the fresh rows; a
+        lookup or a phase of the whole spawn block would break both."""
+        counted, totals = {}, []
+
+        def counting(name, kernel):
+            def wrapper(table, rows):
+                counted[name] += rows.shape[0]
+                return kernel(table, rows)
+            return wrapper
+
+        def checked_gate(state, g, **kwargs):
+            counted.update(find_rows=0, phase_exponent=0)
+            out = apply_imaginary_gate(state, g, **kwargs)
+            gwords = g.generator.words()
+            active = ~anticommute_mask(state._keys, gwords)
+            spawned = state._keys[active] ^ gwords
+            hits = int(bytestring_find_rows(state._keys, spawned)[1].sum())
+            fresh = int(np.count_nonzero(out._indices > state._indices.max()))
+            bounds = (spawned.shape[0] // 2 + fresh, hits // 2 + fresh)
+            assert counted["find_rows"] <= bounds[0]
+            assert counted["phase_exponent"] <= bounds[1]
+            totals.append((spawned.shape[0], *bounds))
+            return out
+
+        monkeypatch.setattr(propagate_module, "find_rows",
+                            counting("find_rows", find_rows))
+        monkeypatch.setattr(propagate_module, "phase_exponent",
+                            counting("phase_exponent", phase_exponent))
+        monkeypatch.setattr(propagate_module, "apply_imaginary_gate",
+                            checked_gate)
+        h = build_tfim(TfimParams(N=n, J=1.0, h=0.5))
+        run_itpp(h, ScheduleConfig(0.04, 0.04), policy)
+        assert len(totals) == len(h.gated_terms())
+        # summed over the step the bounds lie below the spawned rows, so at
+        # some gate a lookup or a phase of every spawned row breaks them
+        spawned, lookups, phases = np.sum(totals, axis=0)
+        assert lookups < spawned and phases < spawned
 
 
 class TestTrotterSequence:
@@ -923,6 +1078,39 @@ class TestWidthEmbedding:
         # the longitudinal field puts I and the last qubit's Z, which
         # differ only in word 1's lowest used bit, in the same state
         check_embedding("field", width, offset, policy_name)
+
+
+class TestWidthEmbeddingResume:
+    """A wide run checkpointed mid-way and resumed ends as the narrow
+    uninterrupted run does, bit for bit."""
+
+    @pytest.mark.parametrize("width, offset", [(40, 27), (70, 60)])
+    def test_checkpointed_run_matches_narrow(self, tmp_path, width, offset):
+        chain = EMBEDDED_CHAIN
+        pad = width - offset - chain.n_qubits
+        wide = Hamiltonian(width, [(c, "I" * offset + str(p) + "I" * pad)
+                                   for c, p in chain.terms])
+        policy = EMBEDDING_POLICIES["fixed_k"]
+        sched = ScheduleConfig(0.04, 0.8)
+        half, first = run_itpp(wide, ScheduleConfig(0.04, 0.4), policy)
+        path = str(tmp_path / "half.psum")
+        paulievo.save_pauli_sum(half, path)
+        loaded, _ = paulievo.load_pauli_sum(path)
+        assert_same_rows(loaded, half)
+        state, rest = run_itpp(wide, sched, policy, initial_state=loaded,
+                               start_step=10)
+        assert len(first) == 11 and len(rest) == 10
+        strings, coeffs, indices, records, _ = narrow_embedding_run(
+            "tfim", "fixed_k")
+        assert [(r.energy, r.n_terms, r.purity)
+                for r in [*first, *rest]] == records
+        wide_strings = [str(p) for p, _ in state.items()]
+        assert [s[offset:offset + chain.n_qubits]
+                for s in wide_strings] == strings
+        assert {s[:offset] + s[width - pad:] for s in wide_strings} \
+            == {"I" * (offset + pad)}
+        assert np.array_equal(state._coeffs, coeffs)
+        assert np.array_equal(state._indices, indices)
 
 
 def assert_matches_loop_oracle(h, sched, policy, gate_policies,
