@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 from .pauli import PauliString, require_width
-from .opsum import PauliSum, _real_coefficient
+from .opsum import PauliSum, _real_coefficient, _require_integer
 
 
 class Hamiltonian:
@@ -75,13 +75,19 @@ class Hamiltonian:
 
 @dataclass(frozen=True)
 class TfimParams:
-    """Open-boundary transverse-field Ising chain parameters."""
+    """Open-boundary transverse-field Ising chain parameters: an integer
+    ``N`` of at least 2 (a ``bool`` and a float are refused even when
+    whole) and finite ``J`` and ``h``."""
 
     N: int
     J: float = 1.0
     h: float = 0.5
 
     def __post_init__(self):
+        _require_integer("N", self.N)
+        for name, value in (("J", self.J), ("h", self.h)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, not {value!r}")
         if self.N < 2:
             raise ValueError("TFIM needs N >= 2 for the ZZ bonds to exist")
 

@@ -95,11 +95,17 @@ class Threshold:
                              f"{self.delta!r}")
 
 
-def _require_count(name: str, value) -> None:
-    """Refuse ``value`` unless it is an integer of at least 1: a ``bool``
-    and a float are refused even when whole."""
+def _require_integer(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer: a ``bool`` and a float are
+    refused even when whole."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, not {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Refuse ``value`` unless it is an integer (see
+    :func:`_require_integer`) of at least 1."""
+    _require_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be positive, not {value!r}")
 

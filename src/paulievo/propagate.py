@@ -44,6 +44,7 @@ from .opsum import (
     Threshold,
     TraceCollapseError,
     TruncationPolicy,
+    _require_integer,
     narrow_keep,
     normalize_by_trace,
     normalized_trace,
@@ -91,7 +92,8 @@ class GateSpec:
     (real-time rotation angle) is set.  Identity generators are rejected;
     they only rescale the state and are handled as energy offsets.  So is
     a ``tau_eff`` whose ``cosh`` is not a finite float (``|tau_eff|`` past
-    about 710.48, or not finite), naming the generator and the angle.
+    about 710.48, or not finite) and a ``theta`` that is not finite, each
+    naming the generator and the angle.
     """
 
     generator: PauliString
@@ -113,6 +115,11 @@ class GateSpec:
                     f"imaginary angle tau_eff = {self.tau_eff!r} of "
                     f"generator {self.generator} has no finite cosh"
                 )
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ValueError(
+                f"real angle theta = {self.theta!r} of generator "
+                f"{self.generator} is not finite"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,8 +230,9 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     numerical-zero drop; a new row's magnitude is ``|c_P spawn|``, so the
     drop and ``policy`` run before any new row is signed, and ``policy``
     narrows the candidates, in its own order, before anything is inserted
-    (see :func:`~paulievo.opsum.narrow_keep`).  Only the kept new rows
-    of the unsearched side are looked up, for their insert positions.  A
+    (see :func:`~paulievo.opsum.narrow_keep`).  The kept new rows are
+    then looked up once among the kept state rows: a new key is in no
+    state row, so its lookup position is its insert position.  A
     new row's fresh index is its position in the sorted spawn block plus
     one past the largest index, known before the insert, so a
     :class:`~paulievo.opsum.FixedK` tie breaks as it would over the merged
@@ -276,9 +284,7 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
     paired[sources] = True
     # a spawn lands on the state exactly when its source is in a hit pair
     new = np.flatnonzero(~paired[act])
-    # the searched side's new rows, in spawn order, with their positions
-    pos = pos[~found]
-    del paired, searched, found, hits, sources, k4, order
+    del paired, side, searched, pos, found, hits, sources, k4, order
     new_sources = state._coeffs[act[new]]
     # numerical-zero drop, relative to the largest merged magnitude (exact
     # zeros always drop), then the policy over the kept state rows and the
@@ -297,34 +303,25 @@ def _apply_generator(state: PauliSum, gate: GateSpec, *,
         (keep_new, absn, new + (last + 1),
          lambda: row_weights(spawn_keys)[new]),
     ])
-    pos = pos[keep_new[side[new]]]
     new = new[keep_new]
     # gather the new rows and free the spawn block before the kept state
     # rows are copied, so the two never coexist at full size
     fresh_keys = take_rows(spawn_keys, new)
-    on_side = side[new]
-    below = np.empty(new.size, dtype=np.intp)
-    below[on_side] = pos
-    below[~on_side] = find_rows(keys, take_rows(fresh_keys, ~on_side))[0]
     # Q S = i^k P for a new row S of source P
     k4 = phase_exponent(gwords, fresh_keys)
     fresh_coeffs = new_sources[keep_new] * (spawn * _SIGN_FROM_K4[-k4 & 3])
     fresh_indices = new + (last + 1)
-    del spawn_keys, act, side, pos, new, keep_new, on_side, k4
-    del new_sources, absc, absn
+    del spawn_keys, act, new, keep_new, k4, new_sources, absc, absn
     indices = state._indices
-    all_kept = bool(keep.all())
-    if not all_kept:
+    if not keep.all():
         keys = take_rows(keys, keep)
         coeffs, indices = coeffs[keep], indices[keep]
-    if below.size == 0:
+    if fresh_indices.size == 0:
         return PauliSum._from_raw(state.n_qubits, keys, coeffs, indices)
     # insert: a new row lands after the kept state rows below it and the
     # new rows before it
-    if not all_kept:
-        below = np.concatenate(([0], np.cumsum(keep)))[below]
-    at = below + np.arange(below.size)
-    total = len(coeffs) + below.size
+    at = find_rows(keys, fresh_keys)[0] + np.arange(fresh_indices.size)
+    total = len(coeffs) + fresh_indices.size
     is_old = np.ones(total, dtype=bool)
     is_old[at] = False
 
@@ -547,9 +544,11 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     when starting from scratch.
 
     ``initial_state``/``start_step`` resume an interrupted run from a
-    checkpoint; ``step_callback(step, state, record)`` runs after each step
-    and may return True to stop early; True after the last step ends
-    nothing, since every step has run.  A trace collapse, after a gate or at
+    checkpoint (a ``start_step`` that is negative or not an integer is
+    refused with ``ValueError`` before any gate runs);
+    ``step_callback(step, state, record)`` runs after each step and may
+    return True to stop early; True after the last step ends nothing,
+    since every step has run.  A trace collapse, after a gate or at
     the step-end threshold, raises :class:`TraceCollapseError` naming the
     step (and the gate) and carrying the trajectory recorded so far.
     ``drop_relative`` is passed to every gate (see
@@ -557,6 +556,9 @@ def run_itpp(hamiltonian: Hamiltonian, schedule: ScheduleConfig,
     untruncated support censuses need.  Returns the final state and the
     trajectory of the steps executed here.
     """
+    _require_integer("start_step", start_step)
+    if start_step < 0:
+        raise ValueError(f"start_step must be >= 0, not {start_step!r}")
     h_sum = hamiltonian.to_sum()
     gates = _step_gates(hamiltonian, schedule)
     gate_policy, step_policy = split_policy_by_cadence(policy)

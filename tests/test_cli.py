@@ -235,7 +235,7 @@ class TestRunItpp:
          "delta_tau must be finite and positive, not nan"),
         (("--delta-tau", "inf"),
          "delta_tau must be finite and positive, not inf"),
-        (("--h", "inf"), "coefficient -inf of"),
+        (("--h", "inf"), "h must be finite, not inf"),
         (("--kind", "terms", "--dense-guard", "2"), "coefficient nan of ZZI"),
     ], ids=["tau-final-inf", "delta-tau-nan", "delta-tau-inf", "h-inf",
             "terms-file-nan"])
@@ -854,6 +854,7 @@ class TestBdg:
         (("--J", "10^400"), "float range"),
         (("--h=-8^0.5",), "not a real number"),
         (("--N", "-3"), "non-negative whole number"),
+        (("--h", "nan"), "h must be finite, not nan"),
     ])
     def test_unusable_flag_exits_2(self, flags, named):
         res = run_cli("bdg", "--N", "4", *flags)

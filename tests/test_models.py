@@ -66,6 +66,19 @@ class TestBuildTfim:
         with pytest.raises(ValueError):
             TfimParams(N=1)
 
+    @pytest.mark.parametrize("n", [3.5, 3.0, True])
+    def test_n_not_an_integer_rejected(self, n):
+        with pytest.raises(ValueError,
+                           match=f"N must be an integer, not {n!r}"):
+            TfimParams(N=n)
+
+    @pytest.mark.parametrize("field", ["J", "h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_coupling_not_finite_rejected(self, field, value):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be finite, not {value!r}"):
+            TfimParams(N=3, **{field: value})
+
 
 class TestHamiltonianFromTerms:
     def test_single_term(self):

@@ -95,6 +95,12 @@ class TestGateSpec:
                 f"tau_eff = {tau!r} of generator ZZ has no finite cosh")):
             gate("ZZ", tau=tau)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_angle_not_finite_refused(self, theta):
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta = {theta!r} of generator ZZ is not finite")):
+            gate("ZZ", theta=theta)
+
     def test_largest_finite_cosh_angle_runs(self):
         # cosh and sinh overflow at the same angle, so the gate runs
         tau = 710.4758600739439
@@ -915,6 +921,21 @@ class TestRunItpp:
                      start_step=1)
         assert gates_run == []
 
+    @pytest.mark.parametrize("start_step, named", [
+        (-2, "start_step must be >= 0, not -2"),
+        (1.0, "start_step must be an integer, not 1.0"),
+        (True, "start_step must be an integer, not True"),
+    ])
+    def test_bad_start_step_refused_before_any_gate(self, monkeypatch,
+                                                    start_step, named):
+        gates_run = []
+        monkeypatch.setattr(propagate_module, "apply_imaginary_gate",
+                            lambda *args, **kw: gates_run.append(args))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            run_itpp(build_tfim(TfimParams(N=3)), ScheduleConfig(0.04, 0.08),
+                     start_step=start_step)
+        assert gates_run == []
+
     def test_initial_state_normalized_by_its_trace(self):
         # 0.5 I + 0.1 ZZII is the state I + 0.2 ZZII: purity 1.04, not 0.26
         h = build_tfim(TfimParams(N=4, J=1.0, h=0.5))
@@ -1078,6 +1099,16 @@ class TestWidthEmbedding:
         # the longitudinal field puts I and the last qubit's Z, which
         # differ only in word 1's lowest used bit, in the same state
         check_embedding("field", width, offset, policy_name)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_drawn_embedding_matches_narrow(self, data):
+        # whole runs across word boundaries at drawn positions
+        chain_name = data.draw(st.sampled_from(sorted(EMBEDDED_CHAINS)))
+        width = data.draw(st.integers(11, 140))
+        offset = data.draw(st.integers(0, width - EMBEDDED_CHAIN.n_qubits))
+        policy_name = data.draw(st.sampled_from(sorted(EMBEDDING_POLICIES)))
+        check_embedding(chain_name, width, offset, policy_name)
 
 
 class TestWidthEmbeddingResume:
